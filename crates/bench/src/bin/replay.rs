@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `--spawn` hosts the daemon in-process (checkpointing to a scratch
-//! file so the artifact's checkpoint-overhead fields are populated),
-//! waits for readiness, replays, drains, and writes
+//! file so the artifact's checkpoint-overhead fields are populated, and
+//! removing that file on exit unless `--checkpoint` named it), waits for
+//! readiness, replays, drains, and writes
 //! `BENCH_[<tag>-]serve-er-n<N>-t<T>.json`. `--addr` replays an
 //! external daemon instead. `--validate` checks existing artifacts
 //! against the schema.
@@ -153,6 +154,18 @@ fn wait_ready(addr: &str) -> Result<(), String> {
     }
 }
 
+/// A checkpoint path replay picked itself. The image and its `.tmp`
+/// sibling (the daemon's atomic-write staging file) are removed when
+/// this drops, so no exit path leaves them behind.
+struct ScratchImage(PathBuf);
+
+impl Drop for ScratchImage {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+    }
+}
+
 fn run(opts: &Options) -> Result<(), String> {
     let mode = match opts.mode.as_str() {
         "closed" => ReplayMode::Closed,
@@ -167,9 +180,10 @@ fn run(opts: &Options) -> Result<(), String> {
         other => return Err(format!("unknown --mode `{other}` (closed|open)")),
     };
 
-    // Self-hosted daemon, unless an external address was given.
+    // Self-hosted daemon, unless an external address was given. The
+    // scratch image is declared first so it outlives the daemon.
+    let mut scratch: Option<ScratchImage> = None;
     let mut hosted: Option<Daemon> = None;
-    let scratch_ckpt;
     let addr = match &opts.addr {
         Some(addr) => addr.clone(),
         None => {
@@ -183,12 +197,12 @@ fn run(opts: &Options) -> Result<(), String> {
             solver.checkpoint_path = Some(match &opts.checkpoint {
                 Some(path) => path.clone(),
                 None => {
-                    scratch_ckpt = std::env::temp_dir().join(format!(
+                    let path = std::env::temp_dir().join(format!(
                         "rwbc-replay-{}-n{}.ckpt",
                         std::process::id(),
                         opts.n
                     ));
-                    scratch_ckpt.clone()
+                    scratch.insert(ScratchImage(path)).0.clone()
                 }
             });
             solver.checkpoint_every_rounds = 16;
@@ -200,23 +214,25 @@ fn run(opts: &Options) -> Result<(), String> {
         }
     };
 
-    wait_ready(&addr)?;
-    let config = ReplayConfig {
-        addr,
-        mode,
-        clients: opts.clients.max(1),
-        duration: Duration::from_secs_f64(opts.duration_s.max(0.1)),
-        deadline_ms: opts.deadline_ms,
-        seed: opts.seed,
-        n: opts.n,
-        metrics_every: Some(Duration::from_millis(opts.metrics_every_ms.max(1))),
-    };
-    let report = run_replay(&config);
-
+    let report = wait_ready(&addr).map(|()| {
+        run_replay(&ReplayConfig {
+            addr,
+            mode,
+            clients: opts.clients.max(1),
+            duration: Duration::from_secs_f64(opts.duration_s.max(0.1)),
+            deadline_ms: opts.deadline_ms,
+            seed: opts.seed,
+            n: opts.n,
+            metrics_every: Some(Duration::from_millis(opts.metrics_every_ms.max(1))),
+        })
+    });
+    // Drain even when the daemon never became ready, so its solver stops
+    // writing before the scratch image is removed.
     if let Some(daemon) = hosted {
         daemon.drain();
         daemon.wait();
     }
+    let report = report?;
 
     let scenario = format!("serve-er-n{}-t{}", opts.n, opts.threads);
     let result = ServeBenchResult {

@@ -226,7 +226,7 @@ fn corpus_run(seed: u64) -> (Vec<Vec<u8>>, Vec<u8>, Graph, SimConfig) {
             break;
         }
     }
-    let image = sim.checkpoint().to_vec();
+    let image = sim.checkpoint();
     (lines, image, g, cfg)
 }
 

@@ -52,7 +52,7 @@ fn full_run(
     g: &Graph,
     cfg: SimConfig,
     reference: bool,
-) -> (congest_sim::RunStats, Vec<TraceEvent>, bytes::Bytes) {
+) -> (congest_sim::RunStats, Vec<TraceEvent>, Vec<u8>) {
     let mut tracer = MemoryTracer::new();
     let mut sim = Simulator::new(g, cfg, |v| Flood::new(v, 0))
         .with_reference_delivery(reference)
@@ -119,7 +119,7 @@ proptest! {
     ) {
         let faults = FaultPlan::default().with_drop_probability(drop_p);
         let cfg = SimConfig::default().with_seed(seed).with_faults(faults);
-        let finish = |mut sim: Simulator<'_, Flood>| -> (RunStats, bytes::Bytes) {
+        let finish = |mut sim: Simulator<'_, Flood>| -> (RunStats, Vec<u8>) {
             let stats = sim.run().unwrap();
             (stats, sim.checkpoint())
         };
@@ -201,7 +201,7 @@ fn v1_fresh_image(g: &Graph, cfg: &SimConfig, source: usize) -> Vec<u8> {
     for _ in 0..(2 * n) {
         Vec::<congest_sim::Incoming<()>>::new().encode_state(&mut w);
     }
-    w.finish().to_vec()
+    w.finish()
 }
 
 /// A version-1 image — the pre-`peak_edge` stats layout — must still

@@ -55,7 +55,7 @@ impl WalkBatch {
     }
 
     /// Encodes to real bytes (used by tests to validate `bit_size`).
-    pub fn encode(&self, n: usize) -> bytes::Bytes {
+    pub fn encode(&self, n: usize) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
         for t in &self.tokens {
@@ -170,7 +170,7 @@ pub struct CountMsg {
 
 impl CountMsg {
     /// Encodes to real bytes.
-    pub fn encode(&self) -> bytes::Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(self.scaled, self.value_bits as usize);
         w.finish()

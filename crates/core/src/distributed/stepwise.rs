@@ -129,7 +129,7 @@ fn write_section(w: &mut BitWriter, body: &[u8]) {
 
 /// Reads back one section written by [`write_section`], verifying the
 /// checksum before the payload is decoded.
-fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, RwbcError> {
+fn read_section<'a>(r: &mut BitReader<'a>, what: &str) -> Result<&'a [u8], RwbcError> {
     let len = r
         .read_bits(64)
         .ok_or_else(|| corrupt(&format!("truncated {what} section header")))?;
@@ -138,10 +138,12 @@ fn read_section(r: &mut BitReader<'_>, what: &str) -> Result<Vec<u8>, RwbcError>
     let sum = r
         .read_bits(32)
         .ok_or_else(|| corrupt(&format!("truncated {what} section header")))? as u32;
+    // Every section starts on a byte boundary (the 128-bit magic/version
+    // prefix, then whole-byte frames), so the payload is borrowed.
     let bytes = r
-        .read_bytes(len)
+        .read_aligned(len)
         .ok_or_else(|| corrupt(&format!("truncated {what} section")))?;
-    if crc32(&bytes) != sum {
+    if crc32(bytes) != sum {
         return Err(corrupt(&format!("{what} section failed its checksum")));
     }
     Ok(bytes)
@@ -619,14 +621,14 @@ impl<'g> StepSolver<'g> {
         }
         write_section(&mut w, &mw.finish());
 
-        let engine: Vec<u8> = match &self.state {
-            PhaseState::Walk(sim) => sim.checkpoint().to_vec(),
-            PhaseState::Count { sim, .. } => sim.checkpoint().to_vec(),
-            PhaseState::SketchCount { sim, .. } => sim.checkpoint().to_vec(),
+        let engine = match &self.state {
+            PhaseState::Walk(sim) => sim.checkpoint(),
+            PhaseState::Count { sim, .. } => sim.checkpoint(),
+            PhaseState::SketchCount { sim, .. } => sim.checkpoint(),
             _ => Vec::new(),
         };
         write_section(&mut w, &engine);
-        Ok(w.finish().to_vec())
+        Ok(w.finish())
     }
 
     /// Reconstructs a solver from a [`StepSolver::checkpoint`] image.
@@ -656,7 +658,7 @@ impl<'g> StepSolver<'g> {
             return Err(corrupt("unsupported step-checkpoint version"));
         }
         let header = read_section(&mut r, "header")?;
-        let mut hr = BitReader::new(&header);
+        let mut hr = BitReader::new(header);
         let n = usize::decode_state(&mut hr).ok_or_else(|| corrupt("truncated header"))?;
         if n != graph.node_count() {
             return Err(corrupt("node count disagrees with the provided graph"));
@@ -687,13 +689,13 @@ impl<'g> StepSolver<'g> {
             return Err(corrupt("count mode disagrees with the image's count phase"));
         }
         let meta = read_section(&mut r, "phase metadata")?;
-        let mut mr = BitReader::new(&meta);
+        let mut mr = BitReader::new(meta);
         let engine = read_section(&mut r, "engine image")?;
 
         let state = match phase_tag {
             0 => {
                 let cfg1 = config.sim.clone().with_seed(config.seed ^ PHASE1_XOR);
-                let sim = Simulator::<WalkProgram>::restore(graph, cfg1, &engine)
+                let sim = Simulator::<WalkProgram>::restore(graph, cfg1, engine)
                     .map_err(RwbcError::Sim)?;
                 PhaseState::Walk(sim)
             }
@@ -703,7 +705,7 @@ impl<'g> StepSolver<'g> {
                 let walks_lost =
                     u64::decode_state(&mut mr).ok_or_else(|| corrupt("truncated walk tally"))?;
                 let cfg2 = config.sim.clone().with_seed(config.seed ^ PHASE2_XOR);
-                let sim = Simulator::<CountProgram>::restore(graph, cfg2, &engine)
+                let sim = Simulator::<CountProgram>::restore(graph, cfg2, engine)
                     .map_err(RwbcError::Sim)?;
                 PhaseState::Count {
                     sim,
@@ -717,7 +719,7 @@ impl<'g> StepSolver<'g> {
                 let walks_lost =
                     u64::decode_state(&mut mr).ok_or_else(|| corrupt("truncated walk tally"))?;
                 let cfg2 = config.sim.clone().with_seed(config.seed ^ PHASE2_XOR);
-                let sim = Simulator::<SketchCountProgram>::restore(graph, cfg2, &engine)
+                let sim = Simulator::<SketchCountProgram>::restore(graph, cfg2, engine)
                     .map_err(RwbcError::Sim)?;
                 PhaseState::SketchCount {
                     sim,

@@ -443,15 +443,19 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, tx: &SyncSender<Job>) {
     for stream in listener.incoming() {
+        // A connection that was already queued when the drain began still
+        // gets a handler, which refuses its queries with the typed
+        // `Draining` instead of a silent close.
+        if let Ok(stream) = stream {
+            let shared = Arc::clone(shared);
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let _ = handle_connection(&shared, stream, &tx);
+            });
+        }
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let _ = handle_connection(&shared, stream, &tx);
-        });
     }
 }
 

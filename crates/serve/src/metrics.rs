@@ -37,6 +37,9 @@ pub struct ServeMetrics {
     pub checkpoints_total: Counter,
     /// Time to serialize + persist one checkpoint, microseconds.
     pub checkpoint_duration_us: Histogram,
+    /// Size of each persisted checkpoint image, bytes. Images are
+    /// bit-identical at any engine thread count, so this is too.
+    pub checkpoint_bytes: Histogram,
     /// Flight-recorder dumps written.
     pub flight_dumps_total: Counter,
 }
@@ -55,6 +58,7 @@ impl ServeMetrics {
             solver_phase: registry.gauge("solver_phase"),
             checkpoints_total: registry.counter("solver_checkpoints_total"),
             checkpoint_duration_us: registry.histogram("solver_checkpoint_duration_us"),
+            checkpoint_bytes: registry.histogram("solver_checkpoint_bytes"),
             flight_dumps_total: registry.counter("serve_flight_dumps_total"),
         }
     }

@@ -361,6 +361,7 @@ fn run_solver(
             if let Some(m) = &hooks.metrics {
                 m.serve.checkpoints_total.inc();
                 m.serve.checkpoint_duration_us.record(took_us);
+                m.serve.checkpoint_bytes.record(image.len() as u64);
             }
             flight_solver(solver.rounds_completed(), "checkpoint", image.len() as u64);
             if let Some(tr) = tracer.as_mut() {
@@ -497,6 +498,52 @@ mod tests {
             assert!(Instant::now() < deadline, "solve did not finish in time");
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// Finishes a checkpointing solve at `threads` engine threads and
+    /// returns its metrics snapshot.
+    fn checkpointed_solve_metrics(threads: usize) -> congest_sim::metrics::MetricsSnapshot {
+        let dir = std::env::temp_dir().join(format!(
+            "rwbc-serve-bytes-{}-t{threads}",
+            std::process::id()
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        let mut config = SolverConfig::new(48, 3);
+        config.threads = threads;
+        // Small chunks, so all four workers really run at n = 48.
+        config.granularity = 4;
+        config.checkpoint_path = Some(dir.join("solve.ckpt"));
+        config.checkpoint_every_rounds = 8;
+        let metrics = DaemonMetrics::new();
+        let hooks = SolverHooks {
+            metrics: Some(metrics.clone()),
+            ..SolverHooks::default()
+        };
+        let solver = BackgroundSolver::spawn_with(config, hooks);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !solver.is_finished() {
+            assert!(Instant::now() < deadline, "solve did not finish in time");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(solver.snapshot().result.is_some());
+        let _ = fs::remove_dir_all(&dir);
+        metrics.registry.snapshot()
+    }
+
+    #[test]
+    fn checkpoint_bytes_histogram_is_thread_invariant() {
+        let one = checkpointed_solve_metrics(1);
+        let four = checkpointed_solve_metrics(4);
+        let bytes = one
+            .histogram("solver_checkpoint_bytes")
+            .expect("registered");
+        assert!(bytes.samples() > 1, "periodic and final images recorded");
+        assert_eq!(
+            Some(bytes.samples()),
+            one.counter("solver_checkpoints_total")
+        );
+        assert_eq!(Some(bytes), four.histogram("solver_checkpoint_bytes"));
+        congest_sim::metrics::lint_prometheus(&one.to_prometheus()).expect("lint clean");
     }
 
     #[test]
