@@ -191,9 +191,23 @@ where
     /// the simulation: statistics and checkpoints are bit-identical
     /// with or without a tracer attached.
     pub fn with_tracer(mut self, tracer: &'g mut dyn Tracer) -> Self {
+        self.set_tracer(tracer);
+        self
+    }
+
+    /// Attaches (or replaces) the tracer in place — the form of
+    /// [`Simulator::with_tracer`] for a simulator already under way.
+    pub fn set_tracer(&mut self, tracer: &'g mut dyn Tracer) {
         self.node_trace = (0..self.graph.node_count()).map(|_| Vec::new()).collect();
         self.tracer = Some(tracer);
-        self
+    }
+
+    /// Detaches the tracer, if one is attached, and hands it back — so
+    /// one tracer can follow a computation from simulator to simulator.
+    /// Events the run emits afterwards are not recorded.
+    pub fn take_tracer(&mut self) -> Option<&'g mut dyn Tracer> {
+        self.node_trace = Vec::new();
+        self.tracer.take()
     }
 
     /// Attaches live-metrics handles (see [`EngineMetrics`]). Updates
@@ -233,6 +247,12 @@ where
         &self.programs
     }
 
+    /// Consumes the simulator, yielding the node programs by value (e.g.
+    /// to move large results out instead of copying them).
+    pub fn into_programs(self) -> Vec<P> {
+        self.programs
+    }
+
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &RunStats {
         &self.stats
@@ -254,7 +274,10 @@ where
     }
 
     /// Executes a single round (running `on_start` first if needed).
-    /// Returns `true` when the system has globally terminated.
+    /// Returns `true` when the system has globally terminated; that step
+    /// also folds the programs' delivery-layer counters into
+    /// [`Simulator::stats`], so a step-driven run reports the same
+    /// [`RunStats`] as [`Simulator::run`].
     ///
     /// # Errors
     ///
@@ -279,6 +302,7 @@ where
             self.outboxes = outboxes;
             committed?;
             if self.is_finished() {
+                self.fold_reliability_stats();
                 return Ok(true);
             }
         }
@@ -370,7 +394,11 @@ where
         }
         self.outboxes = outboxes;
         committed?;
-        Ok(self.is_finished())
+        let finished = self.is_finished();
+        if finished {
+            self.fold_reliability_stats();
+        }
+        Ok(finished)
     }
 
     /// Forwards buffered program-emitted events to the tracer in
@@ -420,7 +448,6 @@ where
     pub fn run(&mut self) -> Result<RunStats, SimError> {
         loop {
             if self.step()? {
-                self.fold_reliability_stats();
                 // The engine's only stats clone: once per *run*, at
                 // termination. All per-round paths mutate `self.stats`
                 // in place.

@@ -472,6 +472,11 @@ impl<P: NodeProgram> Reliable<P> {
         &mut self.inner
     }
 
+    /// Unwraps the application program.
+    pub fn into_inner(self) -> P {
+        self.inner
+    }
+
     /// Payload retransmissions performed so far.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions

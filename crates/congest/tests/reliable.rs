@@ -241,3 +241,34 @@ fn reliable_layer_reports_per_node_counters() {
         assert!(rs.inner_last_active_round.is_some());
     }
 }
+
+#[test]
+fn step_loop_reports_the_same_stats_as_run() {
+    // A host that drives the engine round by round (a checkpointing
+    // daemon) must see the delivery-layer counters `run()` reports:
+    // retransmissions, corrupt frames caught, links declared dead.
+    let g = cycle(12).unwrap();
+    let faults = FaultPlan::default()
+        .with_drop_probability(0.2)
+        .with_corrupt_probability(0.1);
+    let cfg = SimConfig::default()
+        .with_bandwidth_coeff(16)
+        .with_faults(faults)
+        .with_seed(19);
+    let make = |v| {
+        Reliable::new(Flood::new(v, 0))
+            .with_checksums()
+            .with_failure_detection(DEFAULT_DEATH_THRESHOLD)
+    };
+    let mut by_run = Simulator::new(&g, cfg.clone(), make);
+    let run_stats = by_run.run().unwrap();
+    let mut by_step = Simulator::new(&g, cfg, make);
+    while !by_step.step().unwrap() {}
+    assert!(run_stats.retransmissions > 0, "drops must force resends");
+    assert!(run_stats.corrupt_frames_detected > 0, "the seal must fire");
+    assert_eq!(*by_step.stats(), run_stats);
+    assert_eq!(
+        by_step.stats().delivery_overhead_rounds,
+        run_stats.delivery_overhead_rounds
+    );
+}

@@ -109,23 +109,6 @@ impl SketchCountProgram {
         }
     }
 
-    /// Pre-seeds permanently dead neighbors (their columns stay zero and
-    /// are excluded from the strict-delivery completion check).
-    #[must_use]
-    pub fn with_dead_neighbors(mut self, mut peers: Vec<NodeId>) -> SketchCountProgram {
-        peers.sort_unstable();
-        peers.dedup();
-        self.dead_peers = peers;
-        self
-    }
-
-    /// Overrides the node count used by the final normalization.
-    #[must_use]
-    pub fn with_effective_n(mut self, n_eff: usize) -> SketchCountProgram {
-        self.effective_n = n_eff.max(2);
-        self
-    }
-
     /// Switches to strict-delivery mode: every bucket is broadcast and
     /// completion is counted per neighbor. Use behind the reliable
     /// transport, where systolic silence is ambiguous with loss.

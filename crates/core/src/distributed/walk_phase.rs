@@ -270,6 +270,11 @@ impl WalkProgram {
         &self.deaths
     }
 
+    /// Consumes the program, yielding its `(counts, deaths)` tallies.
+    pub fn into_tallies(self) -> (Vec<u64>, Vec<u64>) {
+        (self.counts, self.deaths)
+    }
+
     /// Tokens still parked here (0 after a completed run).
     pub fn queued(&self) -> usize {
         self.queue.len()

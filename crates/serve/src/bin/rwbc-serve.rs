@@ -442,6 +442,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Bad solve parameters are a usage error, caught before a daemon
+    // binds or an image is read.
+    if matches!(opts.command.as_str(), "run" | "check") {
+        if let Err(e) = solver_config(&opts).try_distributed_config() {
+            eprintln!("invalid solve parameters: {e}");
+            return ExitCode::from(2);
+        }
+    }
     let result = match opts.command.as_str() {
         "run" => cmd_run(&opts),
         "query" => cmd_query(&opts),

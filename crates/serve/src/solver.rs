@@ -23,6 +23,7 @@ use rand::SeedableRng;
 use rwbc::distributed::DistributedRun;
 use rwbc::distributed::{CountMode, DistributedConfig, SolvePhase, StepSolver};
 use rwbc::monte_carlo::TargetStrategy;
+use rwbc::RwbcError;
 use rwbc_graph::generators::connected_gnp;
 use rwbc_graph::Graph;
 
@@ -106,7 +107,24 @@ impl SolverConfig {
 
     /// The pipeline config this solver runs (fixed target 0, like the
     /// bench scenarios, so runs are reproducible from the spec alone).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the parameters are invalid; hosts that take them from
+    /// users call [`SolverConfig::try_distributed_config`] instead.
     pub fn distributed_config(&self) -> DistributedConfig {
+        self.try_distributed_config()
+            .expect("solver workload params")
+    }
+
+    /// [`SolverConfig::distributed_config`], or the typed reason the
+    /// parameters are invalid (zero walks or length, a sketch precision
+    /// out of range).
+    ///
+    /// # Errors
+    ///
+    /// [`RwbcError::InvalidParameter`] naming the bad parameter.
+    pub fn try_distributed_config(&self) -> Result<DistributedConfig, RwbcError> {
         let mut builder = DistributedConfig::builder()
             .walks(self.walks)
             .length(self.length)
@@ -117,12 +135,12 @@ impl SolverConfig {
                 precision: self.sketch_precision,
             });
         }
-        let mut cfg = builder.build().expect("solver workload params");
+        let mut cfg = builder.build()?;
         cfg.sim = SimConfig::default().with_threads(self.threads);
         if self.granularity > 0 {
             cfg.sim = cfg.sim.with_granularity(self.granularity);
         }
-        cfg
+        Ok(cfg)
     }
 }
 
@@ -271,8 +289,23 @@ fn run_solver(
             );
         }
     };
+    let fail = |reason: String| {
+        flight_solver(0, "solve_failed", 0);
+        if let Some(m) = &hooks.metrics {
+            m.serve
+                .solver_phase
+                .set(u64::from(phase_tag(SolvePhase::Failed)));
+        }
+        publish(shared, |s| {
+            s.phase = phase_tag(SolvePhase::Failed);
+            s.error = Some(reason);
+        });
+    };
+    let dcfg = match config.try_distributed_config() {
+        Ok(dcfg) => dcfg,
+        Err(e) => return fail(e.to_string()),
+    };
     let graph = config.graph.build();
-    let dcfg = config.distributed_config();
 
     let mut tracer: Option<JsonlTracer<BufWriter<fs::File>>> =
         config
@@ -300,11 +333,7 @@ fn run_solver(
         }
         None => match StepSolver::new(&graph, dcfg) {
             Ok(solver) => solver,
-            Err(e) => {
-                flight_solver(0, "solve_failed", 0);
-                publish(shared, |s| s.error = Some(e.to_string()));
-                return;
-            }
+            Err(e) => return fail(e.to_string()),
         },
     };
     if let Some(m) = &hooks.metrics {

@@ -217,3 +217,58 @@ fn served_results_carry_slo_flags_and_health_transitions() {
     daemon.drain();
     daemon.wait();
 }
+
+#[test]
+fn invalid_solve_parameters_fail_typed_instead_of_hanging() {
+    // A daemon handed parameters the pipeline rejects reports the failure
+    // (phase 3, typed query error) rather than solving forever.
+    let mut solver = SolverConfig::new(32, 5);
+    solver.sketch_precision = 1;
+    let daemon = Daemon::start(ServeConfig::new(solver)).expect("bind loopback");
+    let client = Client::new(daemon.local_addr().to_string());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match client.health().expect("health") {
+            Response::Health(h) if h.phase == 3 => {
+                assert!(!h.ready);
+                break;
+            }
+            Response::Health(_) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "the solve failure never surfaced"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("expected Health, got {other:?}"),
+        }
+    }
+    match client.centrality(0, 2000).expect("typed") {
+        Response::Error { reason } => assert!(reason.contains("sketch precision"), "{reason}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    daemon.drain();
+    daemon.wait();
+
+    // The CLI refuses them before binding, with the usage exit status.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_rwbc-serve"))
+        .args(["run", "--addr", "127.0.0.1:0", "--n", "32"])
+        .args(["--sketch-precision", "1"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn rwbc-serve");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("rwbc-serve run with invalid parameters did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(2));
+}
