@@ -19,7 +19,8 @@
 //! n = 128 combined with `--smoke`) once per thread count in `--threads`
 //! (default `1,2,4,8`) and then checks that every workload's
 //! deterministic fingerprint is bit-identical across thread counts.
-//! `--large` adds the n = 65536 scale point to a full sweep. Requesting
+//! `--large` adds the n = 65536 scale points: `clean-er` to a sweep, and
+//! `sketch-er-n65536-t1` to the default matrix. Requesting
 //! more threads than the host exposes is an error unless
 //! `--allow-oversubscribe` is passed, in which case the artifact records
 //! `oversubscribed: true`.
@@ -206,7 +207,7 @@ fn select(opts: &Options) -> Result<Vec<Scenario>, String> {
         // An explicit --threads list is honored verbatim: the base
         // matrix plus one n = 4096 parallel scenario per t > 1 (never
         // silently clamped to the host's core count).
-        let mut m = default_matrix(1);
+        let mut m = default_matrix(1, opts.large);
         m.extend(
             threads
                 .iter()
@@ -217,7 +218,7 @@ fn select(opts: &Options) -> Result<Vec<Scenario>, String> {
     } else {
         // No explicit list: size the one parallel scenario to the host.
         let threads_n = std::thread::available_parallelism().map_or(1, |p| p.get().min(8));
-        default_matrix(threads_n)
+        default_matrix(threads_n, opts.large)
     };
     if opts.scenarios.is_empty() {
         return Ok(matrix);

@@ -259,8 +259,9 @@ fn torus_dims(n: usize) -> (usize, usize) {
 
 /// The default scenario matrix: clean ER at all three sizes (plus the
 /// largest one multi-threaded), clean BA and torus at the middle size,
-/// and the three faulty modes at the small size.
-pub fn default_matrix(threads_n: usize) -> Vec<Scenario> {
+/// the three faulty modes at the small size, and the sketch matrix
+/// (with its n = 65536 scale point behind `large`).
+pub fn default_matrix(threads_n: usize, large: bool) -> Vec<Scenario> {
     let mut m = vec![
         Scenario::new(Mode::Clean, Topology::Er, 256, 1),
         Scenario::new(Mode::Clean, Topology::Er, 1024, 1),
@@ -274,19 +275,25 @@ pub fn default_matrix(threads_n: usize) -> Vec<Scenario> {
     m.push(Scenario::new(Mode::Reliable, Topology::Er, 256, 1));
     m.push(Scenario::new(Mode::Chaos, Topology::Er, 256, 1));
     m.push(Scenario::new(Mode::Corrupt, Topology::Er, 256, 1));
-    m.extend(sketch_matrix());
+    m.extend(sketch_matrix(large));
     m
 }
 
 /// The sketch-mode matrix: `sketch-er` at the two sizes where the
 /// count-phase compression is the story — same workload (graph, seed,
 /// K, l) as the matching `clean-er` scenarios, so the per-phase traffic
-/// in the two artifacts is directly comparable.
-pub fn sketch_matrix() -> Vec<Scenario> {
-    vec![
+/// in the two artifacts is directly comparable. `large` adds n = 65536,
+/// a size whose walk state only fits because it is sparse (dense
+/// per-source rows would take 2·8·n² bytes, 68.7 GB).
+pub fn sketch_matrix(large: bool) -> Vec<Scenario> {
+    let mut m = vec![
         Scenario::new(Mode::Sketch, Topology::Er, 1024, 1),
         Scenario::new(Mode::Sketch, Topology::Er, 4096, 1),
-    ]
+    ];
+    if large {
+        m.push(Scenario::new(Mode::Sketch, Topology::Er, 65536, 1));
+    }
+    m
 }
 
 /// The CI smoke matrix: one tiny clean scenario (n = 128).
@@ -383,9 +390,10 @@ pub struct BenchResult {
     pub total_messages: u64,
     /// Total bits delivered across all phases.
     pub total_bits: u64,
-    /// Process peak RSS in bytes after the run (`VmHWM`), when the
-    /// platform exposes it. This is a process-wide high-water mark, so
-    /// in a multi-scenario run it reflects the largest scenario so far.
+    /// Peak RSS in bytes of this scenario (`VmHWM` after the run), when
+    /// the platform exposes it. The mark is reset when the scenario
+    /// starts; where the kernel refuses the reset it stays process-wide,
+    /// so in a multi-scenario run it reflects the largest scenario so far.
     pub peak_rss_bytes: Option<u64>,
     /// Hardware threads the host exposed at run time, when knowable.
     pub host_parallelism: Option<u64>,
@@ -417,6 +425,7 @@ pub struct BenchResult {
 /// deterministic counter (an engine-determinism regression).
 pub fn run_scenario(scenario: &Scenario, warmup: usize, trials: usize) -> BenchResult {
     assert!(trials > 0, "need at least one timed trial");
+    reset_peak_rss();
     let graph = scenario.build_graph();
     let config = scenario.build_config();
     let mut samples_ms = Vec::with_capacity(trials);
@@ -760,6 +769,14 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// Resets the process's peak resident set size (`VmHWM`) to its current
+/// RSS by writing `5` to `/proc/self/clear_refs`, so the next
+/// [`peak_rss_bytes`] reading covers only what ran since. Where the
+/// kernel refuses, the mark keeps covering the whole process.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`); `None` where the proc filesystem is absent.
 pub fn peak_rss_bytes() -> Option<u64> {
@@ -899,6 +916,21 @@ mod tests {
         let future =
             Json::parse(&format!(r#"{{"schema_version":{}}}"#, SCHEMA_VERSION + 1)).unwrap();
         assert!(validate_bench_json(&future).is_err());
+    }
+
+    #[test]
+    fn large_adds_the_sketch_scale_point_to_the_default_matrix() {
+        let names = |m: Vec<Scenario>| m.iter().map(Scenario::name).collect::<Vec<_>>();
+        let base = names(default_matrix(1, false));
+        let large = names(default_matrix(1, true));
+        assert!(!base.contains(&"sketch-er-n65536-t1".to_string()));
+        assert_eq!(large.len(), base.len() + 1);
+        assert_eq!(large.last().unwrap(), "sketch-er-n65536-t1");
+        assert_eq!(
+            names(sketch_matrix(false)),
+            ["sketch-er-n1024-t1", "sketch-er-n4096-t1"]
+        );
+        assert_eq!(sketch_matrix(true).len(), 3);
     }
 
     #[test]

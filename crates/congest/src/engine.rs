@@ -247,6 +247,14 @@ where
         &self.programs
     }
 
+    /// Mutable access to every node program between rounds, for state the
+    /// driver owns rather than the protocol (e.g. a table every node
+    /// shares, re-attached after [`Simulator::restore`]). Changing
+    /// protocol state here is outside the engine's determinism contract.
+    pub fn programs_mut(&mut self) -> &mut [P] {
+        &mut self.programs
+    }
+
     /// Consumes the simulator, yielding the node programs by value (e.g.
     /// to move large results out instead of copying them).
     pub fn into_programs(self) -> Vec<P> {

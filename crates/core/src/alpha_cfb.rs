@@ -196,8 +196,11 @@ pub fn distributed(
         .with_draw_seed(config.seed ^ 0xCFB)
     });
     let walk_stats = simulator.run()?;
-    let counts: Vec<Vec<u64>> = (0..n)
-        .map(|v| simulator.program(v).counts().to_vec())
+    // The combine below is dense by design: expand each sparse tally once.
+    let counts: Vec<Vec<u64>> = simulator
+        .into_programs()
+        .into_iter()
+        .map(|p| p.into_tallies().0.to_dense(n))
         .collect();
     let x = crate::monte_carlo::scale_counts(graph, &counts, k);
     Ok(AlphaDistributedRun {

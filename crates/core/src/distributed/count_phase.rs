@@ -18,6 +18,7 @@ use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 use crate::distributed::messages::CountMsg;
+use crate::distributed::SourceTally;
 use crate::flow_sum::node_net_flow_sorted_strided;
 
 /// Node program for the computing phase.
@@ -77,12 +78,48 @@ pub struct CountProgram {
 
 impl CountProgram {
     /// Program for node `me` with its phase-1 counts `xi` (`ξ_me^s`),
-    /// degree `degree`, and `K = walks_per_node`.
+    /// degree `degree`, and `K = walks_per_node`. Sources absent from `xi`
+    /// count zero.
     ///
     /// `value_bits`/`fractional_bits` come from
     /// [`count_field_bits`](crate::distributed::messages::count_field_bits)
     /// and the driver's budget fitting.
+    ///
+    /// # Panics
+    ///
+    /// If `xi` holds a source at or past `n`.
     pub fn new(
+        me: NodeId,
+        n: usize,
+        degree: usize,
+        xi: &SourceTally,
+        walks_per_node: usize,
+        value_bits: u8,
+        fractional_bits: u8,
+    ) -> CountProgram {
+        let scale = f64::from(1u32 << fractional_bits);
+        // Paper Algorithm 2 line 1: divide by the degree. The 1/K of line 4
+        // is folded in here too so "own" estimates T directly. A zero count
+        // scales to zero, so only the runs need the division.
+        let mut own_scaled = vec![0u64; n];
+        for &(s, c) in xi.runs() {
+            own_scaled[s] = ((c as f64 / degree.max(1) as f64) * scale).round() as u64;
+        }
+        CountProgram::with_own_scaled(
+            me,
+            n,
+            degree,
+            own_scaled,
+            walks_per_node,
+            value_bits,
+            fractional_bits,
+        )
+    }
+
+    /// The dense-row constructor the sparse one replaced, kept as the
+    /// reference it must match bit for bit.
+    #[cfg(test)]
+    pub(crate) fn from_dense(
         me: NodeId,
         n: usize,
         degree: usize,
@@ -93,12 +130,31 @@ impl CountProgram {
     ) -> CountProgram {
         debug_assert_eq!(xi.len(), n);
         let scale = f64::from(1u32 << fractional_bits);
-        // Paper Algorithm 2 line 1: divide by the degree. The 1/K of line 4
-        // is folded in here too so "own" estimates T directly.
         let own_scaled: Vec<u64> = xi
             .iter()
             .map(|&c| ((c as f64 / degree.max(1) as f64) * scale).round() as u64)
             .collect();
+        CountProgram::with_own_scaled(
+            me,
+            n,
+            degree,
+            own_scaled,
+            walks_per_node,
+            value_bits,
+            fractional_bits,
+        )
+    }
+
+    fn with_own_scaled(
+        me: NodeId,
+        n: usize,
+        degree: usize,
+        own_scaled: Vec<u64>,
+        walks_per_node: usize,
+        value_bits: u8,
+        fractional_bits: u8,
+    ) -> CountProgram {
+        let scale = f64::from(1u32 << fractional_bits);
         let own: Vec<f64> = own_scaled
             .iter()
             .map(|&q| q as f64 / scale / walks_per_node as f64)
@@ -360,7 +416,15 @@ mod tests {
         let max = counts.iter().flatten().copied().max().unwrap_or(1);
         let value_bits = (congest_sim::bits_for_count(max) + f as usize) as u8;
         let mut sim = Simulator::new(g, SimConfig::default().with_bandwidth_coeff(16), |v| {
-            CountProgram::new(v, n, g.degree(v), counts[v].clone(), k, value_bits, f)
+            CountProgram::new(
+                v,
+                n,
+                g.degree(v),
+                &SourceTally::from_dense(&counts[v]),
+                k,
+                value_bits,
+                f,
+            )
         });
         let stats = sim.run().unwrap();
         let b = (0..n)

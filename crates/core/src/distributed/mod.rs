@@ -45,6 +45,7 @@ pub mod messages;
 pub mod sketch;
 mod sketch_count;
 mod stepwise;
+mod tally;
 mod walk_phase;
 
 pub use collect::{collect_and_solve, collect_and_solve_traced, CollectRun};
@@ -59,6 +60,8 @@ pub use stepwise::{
     SolvePhase, StepSolver, STEP_CHECKPOINT_MAGIC, STEP_CHECKPOINT_MIN_VERSION,
     STEP_CHECKPOINT_VERSION,
 };
+pub use tally::SourceTally;
+use tally::TallyLog;
 pub use walk_phase::WalkProgram;
 
 use serde::{Deserialize, Serialize};

@@ -20,10 +20,13 @@
 //!
 //! [`CountMode::Sketch`]: crate::distributed::CountMode
 
+use std::sync::Arc;
+
 use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 use crate::distributed::sketch::{bucket_of, bucket_weights, SketchCountMsg, VisitSketch};
+use crate::distributed::SourceTally;
 use crate::flow_sum::node_net_flow_weighted_strided;
 
 /// Node program for the sketch-compressed computing phase.
@@ -59,6 +62,10 @@ pub struct SketchCountProgram {
     /// Cached neighbor ids (ascending), filled on first use; excluded
     /// from checkpoints like the exact program's cache.
     neighbor_ids: Vec<NodeId>,
+    /// The combine weights of [`SketchCountProgram::combine_weights`],
+    /// shared by every node of a phase. Not protocol state: excluded from
+    /// checkpoints, and computed at the combine when absent.
+    weights: Option<Arc<[f64]>>,
 }
 
 impl SketchCountProgram {
@@ -68,8 +75,41 @@ impl SketchCountProgram {
     /// and the driver's budget fitting; the per-source quantization
     /// (`round(ξ · 2^F / d)`) is identical to the exact program's, so
     /// sketch error is purely the bucketing, never a different rounding.
+    /// Only the sources in `xi` are observed: a zero count changes
+    /// neither a register nor a bucket.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
+        me: NodeId,
+        n: usize,
+        degree: usize,
+        xi: &SourceTally,
+        walks_per_node: usize,
+        precision: u8,
+        value_bits: u8,
+        fractional_bits: u8,
+    ) -> SketchCountProgram {
+        let scale = f64::from(1u32 << fractional_bits);
+        let mut sketch = VisitSketch::new(precision);
+        for &(s, c) in xi.runs() {
+            let scaled = ((c as f64 / degree.max(1) as f64) * scale).round() as u64;
+            sketch.observe(s, scaled);
+        }
+        SketchCountProgram::with_sketch(
+            me,
+            n,
+            degree,
+            sketch,
+            walks_per_node,
+            value_bits,
+            fractional_bits,
+        )
+    }
+
+    /// The dense-row constructor the sparse one replaced, kept as the
+    /// reference it must match bit for bit.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_dense(
         me: NodeId,
         n: usize,
         degree: usize,
@@ -86,6 +126,26 @@ impl SketchCountProgram {
             let scaled = ((c as f64 / degree.max(1) as f64) * scale).round() as u64;
             sketch.observe(s, scaled);
         }
+        SketchCountProgram::with_sketch(
+            me,
+            n,
+            degree,
+            sketch,
+            walks_per_node,
+            value_bits,
+            fractional_bits,
+        )
+    }
+
+    fn with_sketch(
+        me: NodeId,
+        n: usize,
+        degree: usize,
+        sketch: VisitSketch,
+        walks_per_node: usize,
+        value_bits: u8,
+        fractional_bits: u8,
+    ) -> SketchCountProgram {
         let b = sketch.bucket_count();
         SketchCountProgram {
             me,
@@ -106,7 +166,26 @@ impl SketchCountProgram {
             effective_n: n,
             betweenness: None,
             neighbor_ids: Vec::new(),
+            weights: None,
         }
+    }
+
+    /// The combine weights: every bucket's preimage size over the source
+    /// universe `0..n`, deterministic from `(n, precision)` so they never
+    /// travel. Computing them hashes all `n` sources, so a driver computes
+    /// them once per phase and hands them to every node with
+    /// [`SketchCountProgram::set_combine_weights`].
+    pub fn combine_weights(n: usize, precision: u8) -> Arc<[f64]> {
+        bucket_weights(n, precision)
+            .into_iter()
+            .map(f64::from)
+            .collect()
+    }
+
+    /// Shares precomputed [`SketchCountProgram::combine_weights`] with
+    /// this node (they must be the ones for its `n` and precision).
+    pub fn set_combine_weights(&mut self, weights: Arc<[f64]>) {
+        self.weights = Some(weights);
     }
 
     /// Switches to strict-delivery mode: every bucket is broadcast and
@@ -177,12 +256,10 @@ impl SketchCountProgram {
             let b = self.bucket_count();
             let inv_scale = 1.0 / f64::from(1u32 << self.fractional_bits);
             let k_f = self.k as f64;
-            // Bucket preimage sizes over the full source universe —
-            // deterministic from (n, p), so they never travel.
-            let weights: Vec<f64> = bucket_weights(self.n, self.sketch.precision)
-                .into_iter()
-                .map(f64::from)
-                .collect();
+            let weights = match &self.weights {
+                Some(w) if w.len() == b => Arc::clone(w),
+                _ => SketchCountProgram::combine_weights(self.n, self.sketch.precision),
+            };
             let avg = |scaled: u64, w: f64| {
                 if w > 0.0 {
                     scaled as f64 * inv_scale / k_f / w
@@ -194,7 +271,7 @@ impl SketchCountProgram {
                 .sketch
                 .buckets
                 .iter()
-                .zip(&weights)
+                .zip(weights.iter())
                 .map(|(&s, &w)| avg(s, w))
                 .collect();
             let flat: Vec<f64> = (0..b * self.degree)
@@ -260,6 +337,7 @@ impl congest_sim::wire::WireState for SketchCountProgram {
             effective_n: usize::decode_state(r)?,
             betweenness: Option::decode_state(r)?,
             neighbor_ids: Vec::new(),
+            weights: None,
         })
     }
 }
@@ -346,7 +424,16 @@ mod tests {
         let l = counts.iter().flatten().copied().max().unwrap_or(1) as usize;
         let value_bits = sketch_field_bits(k, l, n, f);
         let mut sim = Simulator::new(g, SimConfig::default().with_bandwidth_coeff(16), |v| {
-            SketchCountProgram::new(v, n, g.degree(v), &counts[v], k, precision, value_bits, f)
+            SketchCountProgram::new(
+                v,
+                n,
+                g.degree(v),
+                &SourceTally::from_dense(&counts[v]),
+                k,
+                precision,
+                value_bits,
+                f,
+            )
         });
         let stats = sim.run().unwrap();
         let b = (0..n)
@@ -452,6 +539,7 @@ mod tests {
     fn program_state_round_trips() {
         let g = cycle(5).unwrap();
         let counts: Vec<u64> = (0..5).map(|s| (s * 3 + 1) as u64).collect();
+        let counts = SourceTally::from_dense(&counts);
         let mut p = SketchCountProgram::new(1, 5, g.degree(1), &counts, 2, 3, 24, 8);
         p.received_per_neighbor[0] = 2;
         p.cols[3] = 77;

@@ -31,6 +31,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use congest_sim::wire::{crc32, BitReader, BitWriter, WireState};
@@ -49,7 +50,7 @@ use crate::distributed::sketch::sketch_field_bits;
 use crate::distributed::{
     ordered_pair, span_end, span_start, ComponentCoverage, CountMode, CountProgram,
     DegradationReport, DistributedConfig, DistributedRun, ElectTargetProgram, SketchCountProgram,
-    WalkProgram,
+    SourceTally, WalkProgram,
 };
 use crate::monte_carlo::TargetStrategy;
 use crate::{Centrality, RwbcError};
@@ -274,9 +275,9 @@ pub struct StepSolver<'g> {
     /// Walk sub-phases and count passes begun so far.
     attempt: usize,
     pass: usize,
-    /// Visit counts per node (row `v` holds `ξ_v^s`), summed over walk
-    /// sub-phases; moved into the count phase.
-    counts: Vec<Vec<u64>>,
+    /// Visit counts per node (row `v` holds the runs of `ξ_v^s`), summed
+    /// over walk sub-phases; handed to the count phase.
+    counts: Vec<SourceTally>,
     /// Walks per source not yet completed.
     outstanding: Vec<u64>,
     /// Membership in the survivor graph's giant component (all `true`
@@ -466,7 +467,7 @@ impl<'g> StepSolver<'g> {
             count_stats: None,
             attempt: 0,
             pass: 0,
-            counts: vec![Vec::new(); n],
+            counts: vec![SourceTally::new(); n],
             outstanding: Vec::new(),
             in_giant: vec![true; n],
             dead_links: BTreeSet::new(),
@@ -602,8 +603,8 @@ impl<'g> StepSolver<'g> {
             .map(|(&o, &inside)| if inside { o } else { 0 })
     }
 
-    /// Harvests a drained walk sub-phase row by row, then moves on to the
-    /// next sub-phase or the count phase. Every completed walk died
+    /// Harvests a drained walk sub-phase node by node, then moves on to
+    /// the next sub-phase or the count phase. Every completed walk died
     /// exactly once (absorbed or truncated), so a source's death tally
     /// short of `K` is the number of its walks faults ate.
     fn end_walk(
@@ -618,14 +619,10 @@ impl<'g> StepSolver<'g> {
         }
         for (row, program) in self.counts.iter_mut().zip(net.into_programs()) {
             let (counts, deaths) = program.into_tallies();
-            for (o, d) in self.outstanding.iter_mut().zip(&deaths) {
-                *o = o.saturating_sub(*d);
+            for &(s, d) in deaths.runs() {
+                self.outstanding[s] = self.outstanding[s].saturating_sub(d);
             }
-            if row.is_empty() {
-                *row = counts;
-            } else {
-                row.iter_mut().zip(&counts).for_each(|(c, x)| *c += x);
-            }
+            row.merge_add(counts);
         }
         self.close_span(stats.rounds);
         self.degradation.walk_subphases += 1;
@@ -690,7 +687,7 @@ impl<'g> StepSolver<'g> {
         self.target = members[self.seeder.gen_range(0..members.len())];
         self.degradation.target_redraws += 1;
         for row in &mut self.counts {
-            row.fill(0);
+            row.clear();
         }
         for s in 0..n {
             // Giant sources restart from scratch and the new target stops
@@ -724,47 +721,53 @@ impl<'g> StepSolver<'g> {
         let graph = self.graph;
         let k = self.config.params.walks_per_node;
         let (vb, f) = (self.value_bits, self.fixed_point_bits);
+        // A partition-tolerant run may need another pass over the same
+        // counts; otherwise each row is freed as soon as its program is
+        // built, so the rows and the count programs never peak together.
+        let mut rows = std::mem::take(&mut self.counts);
+        let mut row = |v: NodeId| {
+            if pt {
+                rows[v].clone()
+            } else {
+                std::mem::take(&mut rows[v])
+            }
+        };
         let (config, dead_links, in_giant) = (&self.config, &self.dead_links, &self.in_giant);
         let state = match self.config.count_mode {
-            CountMode::Exact => {
-                // A partition-tolerant run may need another pass over the
-                // same counts.
-                let mut rows = if pt {
-                    self.counts.clone()
-                } else {
-                    std::mem::take(&mut self.counts)
-                };
-                PhaseState::Count(
-                    Transport::new(graph, sim, config, dead_links, |v, dead| {
-                        let row = std::mem::take(&mut rows[v]);
-                        CountProgram::new(v, n, graph.degree(v), row, k, vb, f)
-                            .with_strict_delivery(strict)
-                            .with_effective_n(if in_giant[v] { giant } else { 2 })
-                            .with_dead_neighbors(dead.to_vec())
-                    })
-                    .attach(self.tracer.take(), self.metrics.as_ref()),
-                )
-            }
+            CountMode::Exact => PhaseState::Count(
+                Transport::new(graph, sim, config, dead_links, |v, dead| {
+                    CountProgram::new(v, n, graph.degree(v), &row(v), k, vb, f)
+                        .with_strict_delivery(strict)
+                        .with_effective_n(if in_giant[v] { giant } else { 2 })
+                        .with_dead_neighbors(dead.to_vec())
+                })
+                .attach(self.tracer.take(), self.metrics.as_ref()),
+            ),
             CountMode::Sketch { precision } => {
-                let rows = std::mem::take(&mut self.counts);
+                let weights = SketchCountProgram::combine_weights(n, precision);
                 PhaseState::SketchCount(
                     Transport::new(graph, sim, config, dead_links, |v, _| {
-                        SketchCountProgram::new(
+                        let mut program = SketchCountProgram::new(
                             v,
                             n,
                             graph.degree(v),
-                            &rows[v],
+                            &row(v),
                             k,
                             precision,
                             vb,
                             f,
                         )
-                        .with_strict_delivery(strict)
+                        .with_strict_delivery(strict);
+                        program.set_combine_weights(Arc::clone(&weights));
+                        program
                     })
                     .attach(self.tracer.take(), self.metrics.as_ref()),
                 )
             }
         };
+        if pt {
+            self.counts = rows;
+        }
         Ok(state)
     }
 
@@ -1168,7 +1171,18 @@ impl<'g> StepSolver<'g> {
         solver.state = match phase_tag {
             0 => PhaseState::Walk(Transport::restore(graph, walk_sim, engine)?),
             1 => PhaseState::Count(Transport::restore(graph, count_sim, engine)?),
-            3 => PhaseState::SketchCount(Transport::restore(graph, count_sim, engine)?),
+            3 => {
+                // The combine weights are shared state outside the image.
+                let mut sim: Simulator<SketchCountProgram> =
+                    Simulator::restore(graph, count_sim, engine)?;
+                if let CountMode::Sketch { precision } = solver.config.count_mode {
+                    let weights = SketchCountProgram::combine_weights(n, precision);
+                    for p in sim.programs_mut() {
+                        p.set_combine_weights(Arc::clone(&weights));
+                    }
+                }
+                PhaseState::SketchCount(Transport::Raw(sim))
+            }
             2 => {
                 let values: Vec<f64> = field(&mut mr, "centrality values")?;
                 if values.len() != n {

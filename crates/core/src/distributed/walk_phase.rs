@@ -8,7 +8,7 @@ use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
 
 use crate::distributed::messages::{WalkBatch, WalkToken};
-use crate::distributed::CongestionDiscipline;
+use crate::distributed::{CongestionDiscipline, SourceTally, TallyLog};
 
 /// Node program for the counting phase.
 ///
@@ -48,6 +48,8 @@ use crate::distributed::CongestionDiscipline;
 #[derive(Debug, Clone)]
 pub struct WalkProgram {
     me: NodeId,
+    /// Network size: the range of source ids.
+    n: usize,
     target: NodeId,
     k: usize,
     len_bits: u8,
@@ -58,14 +60,14 @@ pub struct WalkProgram {
     tickets: HashMap<(NodeId, u32), u32>,
     /// Tokens currently parked at this node, waiting to move.
     queue: Vec<Queued>,
-    /// `ξ_me^s` for every source `s`.
-    counts: Vec<u64>,
+    /// `ξ_me^s` for every source `s` whose walks reached this node.
+    counts: TallyLog,
     /// Walk completions observed *at this node*, per source: absorptions
     /// (when this node is the target) and truncations (remaining hit 0
     /// here). Summed across nodes by the driver, `K − Σ deaths[s]` is the
     /// number of source-`s` tokens lost to faults — the signal behind the
     /// relaunch recovery loop.
-    deaths: Vec<u64>,
+    deaths: TallyLog,
     /// Neighbors declared permanently dead (sorted). Tokens are re-sampled
     /// among the survivors; with no survivors left, queued tokens are
     /// truncated in place.
@@ -151,40 +153,15 @@ impl WalkProgram {
         len_bits: u8,
         discipline: CongestionDiscipline,
     ) -> WalkProgram {
+        // A fresh program is a resumed one that also counts its births.
         let k = lengths.len();
-        let mut counts = vec![0u64; n];
-        let mut deaths = vec![0u64; n];
-        let mut queue = Vec::new();
+        let mut program = WalkProgram::resume(me, n, target, lengths, len_bits, discipline);
+        program.k = k;
         if me != target {
             // Birth visits: the r = 0 term of the visit expectation.
-            counts[me] += k as u64;
-            for l in lengths {
-                if l > 0 {
-                    queue.push(Queued::fresh(WalkToken {
-                        source: me,
-                        remaining: l,
-                    }));
-                } else {
-                    // A zero-length walk completes at birth.
-                    deaths[me] += 1;
-                }
-            }
+            program.counts.add(me, k as u64);
         }
-        WalkProgram {
-            me,
-            target,
-            k,
-            len_bits,
-            discipline,
-            draw_seed: 0,
-            tickets: HashMap::new(),
-            queue,
-            counts,
-            deaths,
-            dead_neighbors: Vec::new(),
-            started: false,
-            scratch: ForwardScratch::default(),
-        }
+        program
     }
 
     /// Program for a *recovery sub-phase*: node `me` relaunches
@@ -200,7 +177,7 @@ impl WalkProgram {
         len_bits: u8,
         discipline: CongestionDiscipline,
     ) -> WalkProgram {
-        let mut deaths = vec![0u64; n];
+        let mut deaths = TallyLog::new();
         let mut queue = Vec::new();
         if me != target {
             for l in lengths {
@@ -210,12 +187,14 @@ impl WalkProgram {
                         remaining: l,
                     }));
                 } else {
-                    deaths[me] += 1;
+                    // A zero-length walk completes at birth.
+                    deaths.add(me, 1);
                 }
             }
         }
         WalkProgram {
             me,
+            n,
             target,
             k: 0,
             len_bits,
@@ -223,7 +202,7 @@ impl WalkProgram {
             draw_seed: 0,
             tickets: HashMap::new(),
             queue,
-            counts: vec![0u64; n],
+            counts: TallyLog::new(),
             deaths,
             dead_neighbors: Vec::new(),
             started: false,
@@ -259,20 +238,11 @@ impl WalkProgram {
         &self.dead_neighbors
     }
 
-    /// The visit counts `ξ_me^s` harvested after the phase completes.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Walk completions observed at this node, per source (absorptions
-    /// here if this node is the target, truncations otherwise).
-    pub fn deaths(&self) -> &[u64] {
-        &self.deaths
-    }
-
-    /// Consumes the program, yielding its `(counts, deaths)` tallies.
-    pub fn into_tallies(self) -> (Vec<u64>, Vec<u64>) {
-        (self.counts, self.deaths)
+    /// Consumes the program, yielding its tallies: the visit counts
+    /// `ξ_me^s`, and the walk completions observed here per source
+    /// (absorptions if this node is the target, truncations otherwise).
+    pub fn into_tallies(self) -> (SourceTally, SourceTally) {
+        (self.counts.into_tally(), self.deaths.into_tally())
     }
 
     /// Tokens still parked here (0 after a completed run).
@@ -335,7 +305,7 @@ impl WalkProgram {
                 // walks can never move again. Truncate them in place so
                 // the death tally (and with it termination) stays exact.
                 for q in self.queue.drain(..) {
-                    self.deaths[q.token.source] += 1;
+                    self.deaths.bump(q.token.source);
                 }
                 return;
             }
@@ -408,7 +378,10 @@ impl WalkProgram {
 // but `scratch`, which is empty at every round boundary by construction.
 // The ticket map is written in sorted key order so two equal programs
 // always produce identical bytes — the hinge of the daemon's
-// checkpoint-resume bit-identity guarantee.
+// checkpoint-resume bit-identity guarantee. The tallies keep the dense
+// wire form (a length-`n` `Vec<u64>` each): encode expands the runs and
+// decode compacts them, so images are byte-identical to the dense
+// layout's; `n` itself is the rows' length.
 impl congest_sim::wire::WireState for WalkProgram {
     fn encode_state(&self, w: &mut congest_sim::wire::BitWriter) {
         self.me.encode_state(w);
@@ -424,8 +397,8 @@ impl congest_sim::wire::WireState for WalkProgram {
         let queue: Vec<(WalkToken, Option<u32>)> =
             self.queue.iter().map(|q| (q.token, q.choice)).collect();
         queue.encode_state(w);
-        self.counts.encode_state(w);
-        self.deaths.encode_state(w);
+        self.counts.snapshot().encode_dense(self.n, w);
+        self.deaths.snapshot().encode_dense(self.n, w);
         self.dead_neighbors.encode_state(w);
         self.started.encode_state(w);
     }
@@ -443,8 +416,20 @@ impl congest_sim::wire::WireState for WalkProgram {
         let draw_seed = u64::decode_state(r)?;
         let tickets: Vec<((NodeId, u32), u32)> = Vec::decode_state(r)?;
         let queue: Vec<(WalkToken, Option<u32>)> = Vec::decode_state(r)?;
+        let (n, counts) = SourceTally::decode_dense(r)?;
+        let (deaths_len, deaths) = SourceTally::decode_dense(r)?;
+        // Both rows span the source range, which must hold every id the
+        // program tallies or forwards.
+        let in_range = deaths_len == n
+            && me < n
+            && target < n
+            && queue.iter().all(|(token, _)| token.source < n);
+        if !in_range {
+            return None;
+        }
         Some(WalkProgram {
             me,
+            n,
             target,
             k,
             len_bits,
@@ -455,8 +440,8 @@ impl congest_sim::wire::WireState for WalkProgram {
                 .into_iter()
                 .map(|(token, choice)| Queued { token, choice })
                 .collect(),
-            counts: Vec::decode_state(r)?,
-            deaths: Vec::decode_state(r)?,
+            counts: counts.into(),
+            deaths: deaths.into(),
             dead_neighbors: Vec::decode_state(r)?,
             started: bool::decode_state(r)?,
             scratch: ForwardScratch::default(),
@@ -481,11 +466,11 @@ impl NodeProgram for WalkProgram {
                 // the visit, decrement, and keep the walk if it has hops
                 // left.
                 if self.me == self.target {
-                    self.deaths[token.source] += 1;
+                    self.deaths.bump(token.source);
                     absorbed += 1;
                     continue; // absorbed
                 }
-                self.counts[token.source] += 1;
+                self.counts.bump(token.source);
                 if token.remaining > 1 {
                     self.queue.push(Queued::fresh(WalkToken {
                         source: token.source,
@@ -493,7 +478,7 @@ impl NodeProgram for WalkProgram {
                     }));
                 } else {
                     // Truncated here: this walk has completed its budget.
-                    self.deaths[token.source] += 1;
+                    self.deaths.bump(token.source);
                     truncated += 1;
                 }
             }
@@ -539,8 +524,12 @@ impl NodeProgram for WalkProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_sim::wire::{BitReader, WireState};
     use congest_sim::{SimConfig, Simulator};
-    use rwbc_graph::generators::{complete, cycle, path, star};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rwbc_graph::generators::{complete, connected_gnp, cycle, path, star};
 
     fn run_phase(
         g: &rwbc_graph::Graph,
@@ -549,19 +538,22 @@ mod tests {
         l: usize,
         discipline: CongestionDiscipline,
         seed: u64,
-    ) -> (Vec<Vec<u64>>, congest_sim::RunStats) {
+    ) -> (Vec<SourceTally>, congest_sim::RunStats) {
         let n = g.node_count();
         let len_bits = crate::distributed::messages::len_field_bits(l);
         let mut sim = Simulator::new(g, SimConfig::default().with_seed(seed), |v| {
             WalkProgram::new(v, n, target, k, l, len_bits, discipline).with_draw_seed(seed)
         });
         let stats = sim.run().unwrap();
-        let counts = (0..n).map(|v| sim.program(v).counts().to_vec()).collect();
+        let counts = sim
+            .into_programs()
+            .into_iter()
+            .map(|p| p.into_tallies().0)
+            .collect();
         (counts, stats)
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // column-indexed scans of the count matrix
     fn walk_conservation_on_cycle() {
         // Each walk makes visits: birth + one per completed hop. Total
         // visits across all nodes from source s equals K (birth) + hops
@@ -571,15 +563,15 @@ mod tests {
         let (counts, stats) = run_phase(&g, 0, 5, 20, CongestionDiscipline::HoldAndResend, 1);
         assert!(stats.congest_compliant());
         for s in 1..6 {
-            let total: u64 = (0..6).map(|v| counts[v][s]).sum();
+            let total: u64 = counts.iter().map(|row| row.get(s)).sum();
             assert!(total >= 5, "source {s} total {total}");
             assert!(total <= 5 * 21, "source {s} total {total}");
         }
         // The absorbing target never counts visits.
-        assert!(counts[0].iter().all(|&c| c == 0));
-        // And no walks start at the target: column 0 of every node is 0.
-        for v in 1..6 {
-            assert_eq!(counts[v][0], 0);
+        assert!(counts[0].is_empty());
+        // And no walks start at the target: no node tallies source 0.
+        for row in &counts[1..] {
+            assert_eq!(row.get(0), 0);
         }
     }
 
@@ -590,7 +582,7 @@ mod tests {
         // With l = 1 every walk makes exactly one hop; the birth visit must
         // still be there.
         for (s, row) in counts.iter().enumerate().take(3) {
-            assert!(row[s] >= 7, "node {s} birth visits {}", row[s]);
+            assert!(row.get(s) >= 7, "node {s} birth visits {}", row.get(s));
         }
     }
 
@@ -624,7 +616,7 @@ mod tests {
         let g = path(3).unwrap();
         let k = 8000;
         let (counts, _) = run_phase(&g, 2, k, 200, CongestionDiscipline::HoldAndResend, 4);
-        let est = counts[0][0] as f64 / k as f64;
+        let est = counts[0].get(0) as f64 / k as f64;
         assert!((est - 2.0).abs() < 0.15, "visits(0<-0) = {est}");
     }
 
@@ -640,8 +632,8 @@ mod tests {
         assert!(stats_b.rounds <= stats_a.rounds);
         // Same estimator: per-node totals agree within Monte-Carlo noise.
         for v in 0..6 {
-            let ta: u64 = a[v].iter().sum();
-            let tb: u64 = b[v].iter().sum();
+            let ta = a[v].total();
+            let tb = b[v].total();
             if ta + tb > 1000 {
                 let ratio = ta as f64 / tb as f64;
                 assert!((0.9..1.1).contains(&ratio), "node {v}: {ta} vs {tb}");
@@ -656,5 +648,174 @@ mod tests {
         let g = path(2).unwrap();
         let (_, stats) = run_phase(&g, 1, 50, 3, CongestionDiscipline::HoldAndResend, 6);
         assert!(stats.rounds >= 50, "rounds {}", stats.rounds);
+    }
+
+    #[test]
+    fn tallies_are_bounded_by_visits_and_conserve_walk_mass() {
+        let n = 2048;
+        let mut rng = StdRng::seed_from_u64(2048);
+        let g = connected_gnp(n, 12.0 / (n as f64 - 1.0), 100, &mut rng).unwrap();
+        let (k, l, target) = (4usize, 64usize, 0);
+        let len_bits = crate::distributed::messages::len_field_bits(l);
+        let mut sim = Simulator::new(&g, SimConfig::default().with_seed(7), |v| {
+            WalkProgram::new(
+                v,
+                n,
+                target,
+                k,
+                l,
+                len_bits,
+                CongestionDiscipline::HoldAndResend,
+            )
+            .with_draw_seed(7)
+        });
+        let stats = sim.run().unwrap();
+        let tallies: Vec<(SourceTally, SourceTally)> = sim
+            .into_programs()
+            .into_iter()
+            .map(WalkProgram::into_tallies)
+            .collect();
+        // Hold-and-resend ships one token per message.
+        let delivered = stats.total_messages;
+        let sources = (n - 1) as u64;
+        // One run per distinct source seen: each comes from a birth tally
+        // or a delivered token, never from the size of the network.
+        let runs: usize = tallies.iter().map(|(counts, _)| counts.len()).sum();
+        assert!(runs as u64 <= sources + delivered, "{runs} runs");
+        assert!(runs < n * n / 8, "{runs} runs is not sparse at n = {n}");
+        let mut visits = vec![0u64; n];
+        let mut deaths = vec![0u64; n];
+        for (counts, died) in &tallies {
+            for &(s, c) in counts.runs() {
+                visits[s] += c;
+            }
+            for &(s, d) in died.runs() {
+                deaths[s] += d;
+            }
+        }
+        for s in 0..n {
+            if s == target {
+                assert_eq!(
+                    (visits[s], deaths[s]),
+                    (0, 0),
+                    "the target launches nothing"
+                );
+                continue;
+            }
+            assert_eq!(deaths[s], k as u64, "every walk of source {s} dies once");
+            let range = k as u64..=(k * (l + 1)) as u64;
+            assert!(
+                range.contains(&visits[s]),
+                "source {s}: {} visits",
+                visits[s]
+            );
+        }
+        // Every delivered token is either a visit or an absorption.
+        let absorbed = tallies[target].1.total();
+        assert_eq!(
+            visits.iter().sum::<u64>() + absorbed,
+            sources * k as u64 + delivered
+        );
+    }
+
+    /// The wire form of the dense layout: the tallies as length-`n` rows.
+    fn encode_dense_reference(p: &WalkProgram) -> Vec<u8> {
+        encode_rows(p, p.n, p.n)
+    }
+
+    /// The dense wire form with the two rows cut or padded to the given
+    /// lengths.
+    fn encode_rows(p: &WalkProgram, counts_len: usize, deaths_len: usize) -> Vec<u8> {
+        let mut w = congest_sim::wire::BitWriter::new();
+        p.me.encode_state(&mut w);
+        p.target.encode_state(&mut w);
+        p.k.encode_state(&mut w);
+        p.len_bits.encode_state(&mut w);
+        matches!(p.discipline, CongestionDiscipline::Batched).encode_state(&mut w);
+        p.draw_seed.encode_state(&mut w);
+        let mut tickets: Vec<((NodeId, u32), u32)> =
+            p.tickets.iter().map(|(&k, &v)| (k, v)).collect();
+        tickets.sort_unstable();
+        tickets.encode_state(&mut w);
+        let queue: Vec<(WalkToken, Option<u32>)> =
+            p.queue.iter().map(|q| (q.token, q.choice)).collect();
+        queue.encode_state(&mut w);
+        p.counts
+            .snapshot()
+            .to_dense(counts_len)
+            .encode_state(&mut w);
+        p.deaths
+            .snapshot()
+            .to_dense(deaths_len)
+            .encode_state(&mut w);
+        p.dead_neighbors.encode_state(&mut w);
+        p.started.encode_state(&mut w);
+        w.finish()
+    }
+
+    fn encode(p: &WalkProgram) -> Vec<u8> {
+        let mut w = congest_sim::wire::BitWriter::new();
+        p.encode_state(&mut w);
+        w.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn mid_walk_images_are_dense_and_round_trip(
+            n in 6usize..40,
+            graph_seed in 0u64..1000,
+            seed in 0u64..1000,
+            rounds in 0usize..30,
+        ) {
+            let mut rng = StdRng::seed_from_u64(graph_seed);
+            let g = connected_gnp(n, 0.2, 100, &mut rng).unwrap();
+            let target = (seed as usize) % n;
+            let len_bits = crate::distributed::messages::len_field_bits(12);
+            let mut sim = Simulator::new(&g, SimConfig::default().with_seed(seed), |v| {
+                WalkProgram::new(v, n, target, 5, 12, len_bits, CongestionDiscipline::HoldAndResend)
+                    .with_draw_seed(seed)
+            });
+            for _ in 0..rounds {
+                if sim.step().unwrap() {
+                    break;
+                }
+            }
+            for p in sim.programs() {
+                let bytes = encode(p);
+                prop_assert_eq!(&bytes, &encode_dense_reference(p));
+                let back = WalkProgram::decode_state(&mut BitReader::new(&bytes)).unwrap();
+                prop_assert_eq!(back.counts.snapshot(), p.counts.snapshot());
+                prop_assert_eq!(back.deaths.snapshot(), p.deaths.snapshot());
+                prop_assert_eq!(encode(&back), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_inconsistent_rows() {
+        let p = WalkProgram::new(1, 4, 0, 3, 5, 3, CongestionDiscipline::HoldAndResend);
+        let bytes = encode(&p);
+        assert!(WalkProgram::decode_state(&mut BitReader::new(&bytes)).is_some());
+        // Every truncation fails typed, never by panicking.
+        for cut in 0..bytes.len() {
+            assert!(WalkProgram::decode_state(&mut BitReader::new(&bytes[..cut])).is_none());
+        }
+        // Rows of different lengths do not define a source range.
+        let mismatched = encode_rows(&p, 4, 3);
+        assert!(WalkProgram::decode_state(&mut BitReader::new(&mismatched)).is_none());
+        // Ids outside the rows would be tallied where no row holds them.
+        let mut bad_me = p.clone();
+        bad_me.me = 9;
+        let mut bad_target = p.clone();
+        bad_target.target = 4;
+        let mut bad_token = p.clone();
+        bad_token.queue.push(Queued::fresh(WalkToken {
+            source: 7,
+            remaining: 2,
+        }));
+        for bad in [bad_me, bad_target, bad_token] {
+            assert!(WalkProgram::decode_state(&mut BitReader::new(&encode(&bad))).is_none());
+        }
     }
 }
