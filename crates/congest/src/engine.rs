@@ -14,10 +14,10 @@ use crate::trace::{DropReason, TraceEvent, Tracer};
 use crate::wire::{crc32, BitReader, BitWriter, WireState};
 use crate::{Message, NodeProgram, RunStats, SimConfig, SimError};
 
-/// Magic word opening every checkpoint image.
 /// Per-node outgoing `(destination, message)` buffers for one round.
 type Outboxes<M> = Vec<Vec<(NodeId, M)>>;
 
+/// Magic word opening every checkpoint image.
 const CHECKPOINT_MAGIC: u64 = 0xC4EC_5A7E;
 /// Bumped whenever the checkpoint layout changes incompatibly. Version
 /// 2 added [`RunStats::peak_edge`]; version 3 added the corruption
@@ -67,34 +67,30 @@ pub struct Simulator<'g, P: NodeProgram> {
     /// rounds allocate no inbox storage at all. Always empty between
     /// steps — checkpoints never see it.
     inboxes: Vec<Vec<Incoming<P::Msg>>>,
-    /// Persistent per-node outgoing buffers, drained by `commit` each
+    /// Persistent per-node outgoing buffers, drained by the commit each
     /// round and reused. Always empty between steps.
     outboxes: Outboxes<P::Msg>,
-    /// Commit scratch: one `(destination, count, bits)` entry per
-    /// per-edge-direction message group of the sender being committed.
-    group_scratch: Vec<(NodeId, usize, usize)>,
     /// The worker count the round loop actually uses:
     /// [`SimConfig::effective_threads`] evaluated once for this graph.
-    /// 1 means every round runs sequentially.
+    /// 1 means wave 1 runs inline on the calling thread.
     effective_threads: usize,
     /// Per-sender `(destination, count, bits)` groups computed by wave 1
-    /// of the parallel commit fan-out and read by the accounting spine.
-    /// Persistent scratch — refilled each parallel round, empty (or
+    /// of the commit fan-out and read by the accounting spine.
+    /// Persistent scratch — refilled each round, empty (or
     /// stale-but-about-to-be-cleared) between rounds, never
     /// checkpointed.
     sender_groups: Vec<Vec<(NodeId, usize, usize)>>,
-    /// Per-worker scatter arenas (`workers × n` destination columns):
-    /// wave 1 moves each worker's outgoing messages into its own arena,
-    /// and the merge wave splices column `to` of every arena into
-    /// `pending[to]` in worker order — ascending worker index is
-    /// ascending sender range, so delivery order is bit-identical to a
-    /// sequential commit. Only used when the fault plan consumes no
-    /// per-message randomness; persistent scratch, empty between
-    /// rounds.
+    /// Scatter arenas of sender ranges `1..workers` (`workers - 1`
+    /// arenas of `n` destination columns; range 0 scatters straight
+    /// into `pending`, so a one-worker round needs none): the merge
+    /// wave splices column `to` of every arena into `pending[to]` in
+    /// range order — ascending range index is ascending sender, so
+    /// delivery order is independent of the worker count. Only used
+    /// when the fault plan consumes no per-message randomness;
+    /// persistent scratch, empty between rounds.
     worker_inboxes: Vec<Vec<Vec<Incoming<P::Msg>>>>,
-    /// Route delivery through the pre-optimization reference
-    /// implementation (testing only; see
-    /// [`Simulator::with_reference_delivery`]).
+    /// Run every round through the sequential reference implementation
+    /// (testing only; see [`Simulator::with_reference_delivery`]).
     reference_delivery: bool,
     in_flight: usize,
     stats: RunStats,
@@ -154,7 +150,6 @@ where
             delayed: (0..n).map(|_| Vec::new()).collect(),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             outboxes: (0..n).map(|_| Vec::new()).collect(),
-            group_scratch: Vec::new(),
             effective_threads,
             sender_groups: Vec::new(),
             worker_inboxes: Vec::new(),
@@ -172,12 +167,14 @@ where
         }
     }
 
-    /// Routes delivery through the pre-optimization reference
-    /// implementation (per-group allocation, no buffer reuse). The
-    /// observable execution — stats, traces, checkpoints, RNG streams —
-    /// is identical to the fast path; only allocation behavior differs.
-    /// Exists so the test suite can A/B the two paths; not useful
-    /// otherwise.
+    /// Runs every round through the reference implementation: node
+    /// programs in ascending order on the calling thread, then
+    /// [`Simulator::commit_reference`] (per-group allocation, no buffer
+    /// reuse, neighbour check interleaved with booking), at any thread
+    /// count. The observable execution of a successful run — stats,
+    /// traces, checkpoints, RNG streams — is identical to the commit
+    /// fan-out's. Exists as the oracle the test suite A/Bs the fan-out
+    /// against; not useful otherwise.
     #[doc(hidden)]
     pub fn with_reference_delivery(mut self, reference: bool) -> Self {
         self.reference_delivery = reference;
@@ -293,24 +290,11 @@ where
     /// non-neighbors, and the round cap.
     pub fn step(&mut self) -> Result<bool, SimError> {
         if !self.started {
+            // The `on_start` wave is round 0: it is computed and
+            // committed exactly like every later round.
             self.started = true;
             self.trace_crash_transitions(0);
-            let mut outboxes = std::mem::take(&mut self.outboxes);
-            for (v, (outbox, rng)) in outboxes.iter_mut().zip(&mut self.rngs).enumerate() {
-                if self.config.faults.node_crashed(v, 0) {
-                    self.stats.crashed_node_rounds += 1;
-                    continue;
-                }
-                let mut ctx = Context::new(v, self.graph, rng, 0, outbox)
-                    .with_trace(self.node_trace.get_mut(v));
-                self.programs[v].on_start(&mut ctx);
-            }
-            self.drain_node_trace();
-            let committed = self.commit(&mut outboxes);
-            self.outboxes = outboxes;
-            committed?;
-            if self.is_finished() {
-                self.fold_reliability_stats();
+            if self.run_wave()? {
                 return Ok(true);
             }
         }
@@ -323,7 +307,6 @@ where
         self.stats.rounds = self.round;
         self.trace_crash_transitions(self.round);
 
-        let n = self.graph.node_count();
         // Swap in the double buffer: this round delivers out of
         // `inboxes` (last round's `pending`), while `pending` becomes
         // the emptied buffers from two rounds ago — capacity intact, so
@@ -364,36 +347,37 @@ where
                 inbox.sort_by_key(|m| m.from);
             }
         }
+        self.run_wave()
+    }
 
+    /// Computes and commits the current round's wave — `on_start` in
+    /// round 0, `on_round` with the swapped-in inboxes after — then
+    /// empties the inboxes. Returns whether the system has globally
+    /// terminated, folding the delivery-layer counters when it has.
+    fn run_wave(&mut self) -> Result<bool, SimError> {
         if !self.config.faults.crashes.is_empty() {
-            for v in 0..n {
+            for v in 0..self.graph.node_count() {
                 if self.config.faults.node_crashed(v, self.round) {
                     self.stats.crashed_node_rounds += 1;
                 }
             }
         }
-
         // Both buffer sets are moved out for the duration of the round
         // (the borrow checker cannot see that `programs`/`stats` and the
         // buffers are disjoint fields) and moved back — empty but with
         // their capacity — before returning, so every round reuses them.
         let inboxes = std::mem::take(&mut self.inboxes);
         let mut outboxes = std::mem::take(&mut self.outboxes);
-        let committed = if self.effective_threads <= 1 {
+        let committed = if self.reference_delivery {
             self.run_round_sequential(&inboxes, &mut outboxes);
             self.drain_node_trace();
-            self.commit(&mut outboxes)
-        } else if self.reference_delivery {
-            // A/B testing path: compute the round in parallel, then
-            // deliver through the reference implementation on the spine.
-            self.run_round_parallel_compute(&inboxes, &mut outboxes)
-                .and_then(|()| {
-                    self.drain_node_trace();
-                    self.commit(&mut outboxes)
-                })
+            self.commit_reference(&mut outboxes)
         } else {
-            self.run_round_parallel(&inboxes, &mut outboxes)
+            self.run_round(&inboxes, &mut outboxes)
         };
+        if committed.is_err() {
+            self.clear_round_scratch(&mut outboxes);
+        }
         self.inboxes = inboxes;
         for inbox in &mut self.inboxes {
             let used = inbox.len();
@@ -495,6 +479,8 @@ where
         }
     }
 
+    /// The reference compute half: every live node's program in
+    /// ascending order on the calling thread.
     fn run_round_sequential(
         &mut self,
         inboxes: &[Vec<Incoming<P::Msg>>],
@@ -513,127 +499,45 @@ where
                 &mut outboxes[v],
             )
             .with_trace(self.node_trace.get_mut(v));
-            self.programs[v].on_round(&mut ctx, &inboxes[v]);
+            run_node(&mut self.programs[v], &mut ctx, &inboxes[v]);
         }
     }
 
-    /// Runs one round's node programs across worker threads *without*
-    /// touching delivery — the compute half of the old parallel path,
-    /// kept for the reference-delivery A/B harness: after it returns,
-    /// the spine commits through [`Simulator::commit_reference`]
-    /// exactly as a sequential run would.
-    fn run_round_parallel_compute(
-        &mut self,
-        inboxes: &[Vec<Incoming<P::Msg>>],
-        outboxes: &mut Outboxes<P::Msg>,
-    ) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        let threads = self.effective_threads;
-        let chunk = n.div_ceil(threads);
-        let graph = self.graph;
-        let round = self.round;
-
-        let programs = &mut self.programs;
-        let rngs = &mut self.rngs;
-        let faults = &self.config.faults;
-        let traced = !self.node_trace.is_empty();
-        let node_trace = &mut self.node_trace;
-        // Every handle is joined explicitly so the whole pool drains even
-        // when a worker panics; the first panic payload is captured and
-        // surfaced as a structured error instead of aborting the process.
-        let panicked = crossbeam::thread::scope(|scope| {
-            let prog_chunks = programs.chunks_mut(chunk);
-            let rng_chunks = rngs.chunks_mut(chunk);
-            let out_chunks = outboxes.chunks_mut(chunk);
-            let in_chunks = inboxes.chunks(chunk);
-            let mut trace_chunks = node_trace.chunks_mut(chunk);
-            let mut handles = Vec::new();
-            for (idx, (((progs, rngs), outs), ins)) in prog_chunks
-                .zip(rng_chunks)
-                .zip(out_chunks)
-                .zip(in_chunks)
-                .enumerate()
-            {
-                let base = idx * chunk;
-                // Workers buffer events per node; the engine drains the
-                // buffers in node order afterwards, so the trace never
-                // observes the thread layout. (`&mut []` is promoted to
-                // 'static, covering the untraced case where
-                // `node_trace` has no chunks to hand out.)
-                let traces: &mut [Vec<TraceEvent>] = if traced {
-                    trace_chunks
-                        .next()
-                        .expect("trace chunks align with program chunks")
-                } else {
-                    &mut []
-                };
-                handles.push(scope.spawn(move |_| {
-                    for (offset, prog) in progs.iter_mut().enumerate() {
-                        let v = base + offset;
-                        if faults.node_crashed(v, round) {
-                            continue;
-                        }
-                        let mut ctx =
-                            Context::new(v, graph, &mut rngs[offset], round, &mut outs[offset])
-                                .with_trace(traces.get_mut(offset));
-                        prog.on_round(&mut ctx, &ins[offset]);
-                    }
-                }));
-            }
-            let mut first: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    first.get_or_insert(payload);
-                }
-            }
-            first
-        });
-        match panicked {
-            Ok(None) => Ok(()),
-            // `&*payload` reborrows the boxed payload itself; a plain
-            // `&payload` would unsize the `Box` into a fresh trait object
-            // and every downcast would miss.
-            Ok(Some(payload)) => Err(SimError::WorkerPanic {
-                round,
-                payload: panic_payload_string(&*payload),
-            }),
-            Err(payload) => Err(SimError::WorkerPanic {
-                round,
-                payload: panic_payload_string(&*payload),
-            }),
-        }
-    }
-
-    /// The parallel commit fan-out: one round computed, validated, and
-    /// delivered with per-worker scratch and no per-round allocation in
-    /// the steady state.
+    /// The commit fan-out, the engine's one round path: one wave
+    /// computed, validated, and delivered with persistent scratch and no
+    /// per-round allocation in the steady state.
     ///
-    /// **Wave 1** (workers, chunked by sender): run `on_round`, then
+    /// **Wave 1** (by sender range): run the program, then
     /// sort/group/validate the node's outbox ([`prepare_outbox`]) into
     /// its persistent group scratch; when the fault plan consumes no
     /// per-message randomness, also scatter the messages into the
-    /// worker's own arena ([`scatter_outbox`]).
+    /// range's arena ([`scatter_outbox`]). Range 0's arena is `pending`
+    /// itself. With one worker there is one range, run inline on the
+    /// calling thread; with more, each range runs on its own scoped
+    /// thread.
     ///
     /// **Spine** (single-threaded, [`Simulator::commit_prepared`]):
     /// books every group in ascending-sender order — budgets, stats,
     /// cut meter, trace events, metrics, and (when per-message fault
     /// randomness is in play) the actual routing with its RNG draws —
-    /// exactly the order the sequential fast path uses, which is what
-    /// keeps all observable output bit-identical at any thread count.
+    /// which is what keeps all observable output bit-identical at any
+    /// thread count.
     ///
-    /// **Wave 2** (workers, chunked by destination; scatter mode only):
-    /// splices arena columns into `pending` in worker order (ascending
-    /// sender), overlapped with the spine — the merge touches only
+    /// **Wave 2** (workers chunked by destination; scatter mode with
+    /// more than one worker only): splices the arenas of ranges
+    /// `1..workers` into `pending` in range order (ascending sender),
+    /// overlapped with the spine — the merge touches only
     /// `pending`/arenas, the spine only stats/trace/metrics.
     ///
-    /// Error paths abort the run: the first failure in ascending sender
-    /// order is reported (workers stop at their first failure and are
-    /// joined in chunk order), and all scratch is cleared so a caller
-    /// that keeps the simulator alive can never re-commit stale sends.
-    /// Side effects already applied by an aborted round (partial stats,
-    /// partially merged inboxes) may differ from the sequential path's
-    /// partial state; completed rounds never differ.
-    fn run_round_parallel(
+    /// Error paths abort the run, and the error does not depend on the
+    /// worker count: wave 1 rejects sends to non-neighbours before any
+    /// group is booked (each range stops at its first failure and ranges
+    /// are joined in order, so the lowest such sender is reported);
+    /// after that the spine reports the lowest sender's count or budget
+    /// violation. Side effects already applied by an aborted round
+    /// (partial stats, partially scattered inboxes) may differ between
+    /// worker counts; completed rounds never differ.
+    fn run_round(
         &mut self,
         inboxes: &[Vec<Incoming<P::Msg>>],
         outboxes: &mut Outboxes<P::Msg>,
@@ -647,16 +551,16 @@ where
         // Per-message fault randomness (drops, duplicates, delays,
         // corruption) must be drawn on the spine in deterministic
         // order. Without it, delivery is a pure function of the outage
-        // schedule, and wave 1 can scatter messages straight into
-        // per-worker arenas.
+        // schedule, and wave 1 can scatter messages straight into the
+        // arenas.
         let scatter = !faults.uses_rng();
 
         if self.sender_groups.len() != n {
             self.sender_groups.resize_with(n, Vec::new);
         }
         if scatter {
-            if self.worker_inboxes.len() != workers {
-                self.worker_inboxes.resize_with(workers, Vec::new);
+            if self.worker_inboxes.len() != workers - 1 {
+                self.worker_inboxes.resize_with(workers - 1, Vec::new);
             }
             for arena in &mut self.worker_inboxes {
                 if arena.len() != n {
@@ -665,139 +569,100 @@ where
             }
         }
 
-        let wave1: Result<(), SimError> = {
-            let programs = &mut self.programs;
-            let rngs = &mut self.rngs;
-            let traced = !self.node_trace.is_empty();
-            let node_trace = &mut self.node_trace;
-            let sender_groups = &mut self.sender_groups;
-            let arenas = &mut self.worker_inboxes;
-            let scoped = crossbeam::thread::scope(|scope| {
-                let prog_chunks = programs.chunks_mut(chunk);
-                let rng_chunks = rngs.chunks_mut(chunk);
-                let out_chunks = outboxes.chunks_mut(chunk);
-                let in_chunks = inboxes.chunks(chunk);
-                let group_chunks = sender_groups.chunks_mut(chunk);
-                let mut trace_chunks = node_trace.chunks_mut(chunk);
-                let mut arena_iter = arenas.iter_mut();
-                let mut handles = Vec::new();
-                for (idx, ((((progs, rngs), outs), ins), grps)) in prog_chunks
-                    .zip(rng_chunks)
-                    .zip(out_chunks)
-                    .zip(in_chunks)
-                    .zip(group_chunks)
-                    .enumerate()
-                {
-                    let base = idx * chunk;
-                    // Workers buffer events per node; the engine drains
-                    // the buffers in node order afterwards, so the trace
-                    // never observes the thread layout. (`&mut []` is
-                    // promoted to 'static, covering the untraced case
-                    // where `node_trace` has no chunks to hand out.)
-                    let traces: &mut [Vec<TraceEvent>] = if traced {
-                        trace_chunks
-                            .next()
-                            .expect("trace chunks align with program chunks")
-                    } else {
-                        &mut []
-                    };
-                    let arena: &mut [Vec<Incoming<P::Msg>>] = if scatter {
-                        arena_iter.next().expect("one arena per worker")
-                    } else {
-                        &mut []
-                    };
-                    handles.push(scope.spawn(move |_| -> Result<(), SimError> {
-                        for (offset, prog) in progs.iter_mut().enumerate() {
-                            let v = base + offset;
-                            if !faults.node_crashed(v, round) {
-                                let mut ctx = Context::new(
-                                    v,
-                                    graph,
-                                    &mut rngs[offset],
-                                    round,
-                                    &mut outs[offset],
-                                )
-                                .with_trace(traces.get_mut(offset));
-                                prog.on_round(&mut ctx, &ins[offset]);
-                            }
-                            // Even a crashed node's (empty) outbox goes
-                            // through prepare: it clears the group
-                            // scratch left by an earlier round.
-                            prepare_outbox(graph, v, &mut outs[offset], &mut grps[offset])?;
-                            if scatter {
-                                scatter_outbox(
-                                    faults,
-                                    round,
-                                    v,
-                                    &mut outs[offset],
-                                    &grps[offset],
-                                    arena,
-                                );
-                            }
-                        }
-                        Ok(())
-                    }));
-                }
-                // Join in chunk order: chunks cover ascending sender
-                // ranges and each worker stops at its first failure, so
-                // the failure reported is the ascending-sender-order
-                // first — the same sender the sequential path would
-                // blame.
-                let mut first: Option<SimError> = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => {
-                            first.get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            first.get_or_insert(SimError::WorkerPanic {
-                                round,
-                                payload: panic_payload_string(&*payload),
-                            });
-                        }
-                    }
-                }
-                match first {
-                    None => Ok(()),
-                    Some(e) => Err(e),
-                }
-            });
-            match scoped {
-                Ok(result) => result,
-                Err(payload) => Err(SimError::WorkerPanic {
-                    round,
-                    payload: panic_payload_string(&*payload),
-                }),
-            }
+        let senders = SenderRange {
+            base: 0,
+            programs: &mut self.programs,
+            rngs: &mut self.rngs,
+            outboxes,
+            inboxes,
+            groups: &mut self.sender_groups,
+            traces: &mut self.node_trace,
         };
-        if let Err(e) = wave1 {
-            self.clear_parallel_scratch(outboxes);
-            return Err(e);
+        // Range 0 scatters into `pending`, range `i` into arena `i - 1`;
+        // no range scatters when the spine routes.
+        let mut arenas = std::iter::once(self.pending.as_mut_slice())
+            .chain(self.worker_inboxes.iter_mut().map(Vec::as_mut_slice))
+            .filter(|_| scatter);
+        if workers == 1 {
+            senders.run(graph, faults, round, arenas.next())?;
+        } else {
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(workers);
+                let mut rest = senders;
+                while !rest.programs.is_empty() {
+                    let (range, tail) = rest.split_at(chunk);
+                    rest = tail;
+                    let arena = arenas.next();
+                    handles.push(scope.spawn(move || range.run(graph, faults, round, arena)));
+                }
+                // Join in range order: ranges cover ascending senders
+                // and each stops at its first failure, so the failure
+                // reported is the ascending-sender-order first.
+                let mut first = Ok(());
+                for handle in handles {
+                    let result = handle.join().unwrap_or_else(|payload| {
+                        // `&*payload` reborrows the boxed payload itself;
+                        // a plain `&payload` would unsize the `Box` into
+                        // a fresh trait object and every downcast would
+                        // miss.
+                        Err(SimError::WorkerPanic {
+                            round,
+                            payload: panic_payload_string(&*payload),
+                        })
+                    });
+                    first = first.and(result);
+                }
+                first
+            })?;
         }
         self.drain_node_trace();
 
         let groups = std::mem::take(&mut self.sender_groups);
-        let result = if scatter {
-            let mut pending = std::mem::take(&mut self.pending);
-            let mut arenas = std::mem::take(&mut self.worker_inboxes);
-            let scoped = crossbeam::thread::scope(|scope| {
-                // Transpose the arenas: merge worker `i` owns
-                // destination slice `i` of *every* arena, so each
-                // `pending[to]` column is appended from arena 0, 1, …
-                // in order — ascending sender, the delivery order the
-                // next round's inbox sort expects to already hold.
-                let mut slices: Vec<ArenaSlices<'_, P::Msg>> = (0..workers)
-                    .map(|_| Vec::with_capacity(arenas.len()))
-                    .collect();
-                for arena in arenas.iter_mut() {
-                    for (i, cols) in arena.chunks_mut(chunk).enumerate() {
-                        slices[i].push(cols);
-                    }
+        let result = if scatter && workers > 1 {
+            self.merge_and_commit(outboxes, &groups)
+        } else {
+            // Either everything was scattered straight into `pending`
+            // or the spine routes every message itself, drawing from
+            // the fault RNG in ascending-sender order.
+            self.commit_prepared(outboxes, &groups, !scatter)
+        };
+        self.sender_groups = groups;
+        result
+    }
+
+    /// Wave 2 of the commit fan-out, overlapped with the spine: merge
+    /// workers chunked by destination append every arena's columns to
+    /// `pending` in range order while the calling thread books the
+    /// groups.
+    fn merge_and_commit(
+        &mut self,
+        outboxes: &mut Outboxes<P::Msg>,
+        groups: &[Vec<(NodeId, usize, usize)>],
+    ) -> Result<(), SimError> {
+        let n = self.graph.node_count();
+        let workers = self.effective_threads;
+        let chunk = n.div_ceil(workers);
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut arenas = std::mem::take(&mut self.worker_inboxes);
+        let (spine, panic) = std::thread::scope(|scope| {
+            // Transpose the arenas: merge worker `i` owns destination
+            // slice `i` of *every* arena, so each `pending[to]` column is
+            // appended from arena 1, 2, … in order (range 0 already
+            // scattered into it) — ascending sender, the delivery order
+            // the next round's inbox sort expects to already hold.
+            let mut slices: Vec<ArenaSlices<'_, P::Msg>> = (0..workers)
+                .map(|_| Vec::with_capacity(arenas.len()))
+                .collect();
+            for arena in arenas.iter_mut() {
+                for (i, cols) in arena.chunks_mut(chunk).enumerate() {
+                    slices[i].push(cols);
                 }
-                let mut handles = Vec::new();
-                for (pend, mut cols) in pending.chunks_mut(chunk).zip(slices) {
-                    handles.push(scope.spawn(move |_| {
+            }
+            let handles: Vec<_> = pending
+                .chunks_mut(chunk)
+                .zip(slices)
+                .map(|(pend, mut cols)| {
+                    scope.spawn(move || {
                         for (rel, dst) in pend.iter_mut().enumerate() {
                             for arena_cols in cols.iter_mut() {
                                 let col = &mut arena_cols[rel];
@@ -806,52 +671,37 @@ where
                                 shrink_after_burst(col, used);
                             }
                         }
-                    }));
+                    })
+                })
+                .collect();
+            // The spine runs concurrently with the merge: it touches
+            // stats/trace/metrics only, the merge touches
+            // `pending`/arenas only.
+            let spine = self.commit_prepared(outboxes, groups, false);
+            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    panic.get_or_insert(payload);
                 }
-                // The spine runs concurrently with the merge: it
-                // touches stats/trace/metrics only, the merge touches
-                // `pending`/arenas only.
-                let spine = self.commit_prepared(outboxes, &groups, false);
-                let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-                for handle in handles {
-                    if let Err(payload) = handle.join() {
-                        panic.get_or_insert(payload);
-                    }
-                }
-                (spine, panic)
-            });
-            self.pending = pending;
-            self.worker_inboxes = arenas;
-            match scoped {
-                Ok((spine, None)) => spine,
-                Ok((spine, Some(payload))) => spine.and(Err(SimError::WorkerPanic {
-                    round,
-                    payload: panic_payload_string(&*payload),
-                })),
-                Err(payload) => Err(SimError::WorkerPanic {
-                    round,
-                    payload: panic_payload_string(&*payload),
-                }),
             }
-        } else {
-            // Per-message fault randomness in play: the spine routes
-            // every message itself, drawing from the fault RNG in the
-            // sequential order.
-            self.commit_prepared(outboxes, &groups, true)
-        };
-        self.sender_groups = groups;
-        if result.is_err() {
-            self.clear_parallel_scratch(outboxes);
+            (spine, panic)
+        });
+        self.pending = pending;
+        self.worker_inboxes = arenas;
+        match panic {
+            None => spine,
+            Some(payload) => spine.and(Err(SimError::WorkerPanic {
+                round: self.round,
+                payload: panic_payload_string(&*payload),
+            })),
         }
-        result
     }
 
-    /// Discards everything a failed parallel round left behind —
-    /// undrained outboxes, destination groups, scattered arena columns —
-    /// so a caller that keeps the simulator alive can never re-commit
-    /// stale sends (the same guarantee [`Simulator::commit`] gives the
-    /// sequential path).
-    fn clear_parallel_scratch(&mut self, outboxes: &mut Outboxes<P::Msg>) {
+    /// Discards everything a failed round left behind — undrained
+    /// outboxes, destination groups, scattered arena columns — so a
+    /// caller that keeps the simulator alive can never re-commit stale
+    /// sends.
+    fn clear_round_scratch(&mut self, outboxes: &mut Outboxes<P::Msg>) {
         for outbox in outboxes.iter_mut() {
             outbox.clear();
         }
@@ -865,18 +715,18 @@ where
         }
     }
 
-    /// The accounting spine of the parallel commit fan-out: books every
-    /// sender's pre-computed destination groups in ascending-sender
-    /// order — message-count and bit-budget checks, statistics, cut
-    /// metering, `EdgeTraffic`/link-down events, the `Round` event and
-    /// metrics — exactly the order [`Simulator::commit_fast`] uses, so
-    /// all observable output is bit-identical to a sequential run.
+    /// The accounting spine of the commit fan-out: books every sender's
+    /// pre-computed destination groups in ascending-sender order —
+    /// message-count and bit-budget checks, statistics, cut metering,
+    /// `EdgeTraffic`/link-down events, the `Round` event and metrics —
+    /// the same order [`Simulator::commit_reference`] uses, so all
+    /// observable output is independent of the worker count.
     ///
     /// With `route` set (the fault plan consumes per-message
     /// randomness), the spine also drains each outbox and routes every
     /// message through [`Simulator::route_one`], preserving the fault
     /// RNG draw order; otherwise wave 1 has already scattered the
-    /// messages into worker arenas and only `in_flight` advances here.
+    /// messages and only `in_flight` advances here.
     fn commit_prepared(
         &mut self,
         outboxes: &mut Outboxes<P::Msg>,
@@ -1146,7 +996,6 @@ where
             delayed,
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             outboxes: (0..n).map(|_| Vec::new()).collect(),
-            group_scratch: Vec::new(),
             effective_threads,
             sender_groups: Vec::new(),
             worker_inboxes: Vec::new(),
@@ -1164,136 +1013,12 @@ where
         })
     }
 
-    /// Validates and books one round's worth of outgoing traffic, moving it
-    /// into `pending` (or `delayed`) for later delivery. Every outbox is
-    /// left drained (empty, capacity retained) on success.
-    ///
-    /// Runs single-threaded, and every fault decision is made here in
-    /// deterministic `(from, to, send order)` order — the thread count can
-    /// never change which messages a fault plan affects.
-    fn commit(&mut self, outboxes: &mut Outboxes<P::Msg>) -> Result<(), SimError> {
-        let result = if self.reference_delivery {
-            self.commit_reference(outboxes)
-        } else {
-            self.commit_fast(outboxes)
-        };
-        if result.is_err() {
-            // Terminal error: discard whatever was left undrained so a
-            // caller that keeps the simulator alive can never re-commit
-            // stale sends (the pre-refactor path consumed the buffers
-            // by value, dropping them on error).
-            for outbox in outboxes.iter_mut() {
-                outbox.clear();
-            }
-        }
-        result
-    }
-
-    /// Fast-path delivery: destination groups are located by index in a
-    /// single scan, their accounting reads messages in place, and one
-    /// forward `drain` then routes them out — no per-group buffer, no
-    /// outbox reallocation. Event order, fault-RNG draw order, stats,
-    /// and delivery order are identical to [`Simulator::commit_reference`]
-    /// (property-tested in `tests/engine_fast_path.rs`).
-    fn commit_fast(&mut self, outboxes: &mut Outboxes<P::Msg>) -> Result<(), SimError> {
-        let mut groups = std::mem::take(&mut self.group_scratch);
-        let result = self.commit_fast_inner(outboxes, &mut groups);
-        groups.clear();
-        self.group_scratch = groups;
-        result
-    }
-
-    fn commit_fast_inner(
-        &mut self,
-        outboxes: &mut Outboxes<P::Msg>,
-        groups: &mut Vec<(NodeId, usize, usize)>,
-    ) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        let send_round = self.round;
-        let edge_detail = self
-            .tracer
-            .as_deref()
-            .is_some_and(|t| t.wants_edge_traffic());
-        let mut counters = RoundCounters::default();
-        for (from, outbox) in outboxes.iter_mut().enumerate() {
-            if outbox.is_empty() {
-                continue;
-            }
-            // Group by destination to charge per-edge-direction budgets.
-            // The sort is stable, preserving each destination's send
-            // order — and is skipped entirely when the program already
-            // sent in ascending-destination order (the common case:
-            // programs iterate their neighbor lists), since a stable
-            // sort allocates.
-            if !outbox.windows(2).all(|w| w[0].0 <= w[1].0) {
-                outbox.sort_by_key(|(to, _)| *to);
-            }
-            // Pass 1, by reference: destination-group boundaries and bit
-            // totals into the reusable scratch.
-            groups.clear();
-            let mut i = 0;
-            while i < outbox.len() {
-                let to = outbox[i].0;
-                let start = i;
-                let mut bits = 0usize;
-                while i < outbox.len() && outbox[i].0 == to {
-                    bits += outbox[i].1.bit_size(n);
-                    i += 1;
-                }
-                groups.push((to, i - start, bits));
-            }
-            // Pass 2: one forward drain. Each group's accounting runs
-            // immediately before its messages are consumed, preserving
-            // the reference path's exact event and fault-draw order.
-            // Neighbor validation merge-walks the sorted neighbor slice
-            // against the (sorted) groups: O(deg + groups) per sender
-            // instead of a `has_edge` binary search per group — which a
-            // broadcast-heavy round pays per *message*.
-            let neigh: &[NodeId] = self.graph.neighbor_slice(from);
-            let mut ni = 0usize;
-            let used = outbox.len();
-            let mut queue = outbox.drain(..);
-            for &(to, count, bits) in groups.iter() {
-                while ni < neigh.len() && neigh[ni] < to {
-                    ni += 1;
-                }
-                if ni >= neigh.len() || neigh[ni] != to {
-                    return Err(SimError::NotNeighbor { from, to });
-                }
-                let deliver = self.account_group(
-                    from,
-                    to,
-                    count,
-                    bits,
-                    send_round,
-                    edge_detail,
-                    &mut counters,
-                )?;
-                if deliver {
-                    for _ in 0..count {
-                        let (_, msg) = queue.next().expect("group sizes cover the outbox");
-                        self.route_one(from, to, send_round, msg);
-                    }
-                } else {
-                    // Link down: the whole group is lost (already
-                    // accounted); skip its messages.
-                    for _ in 0..count {
-                        queue.next();
-                    }
-                }
-            }
-            drop(queue);
-            shrink_after_burst(outbox, used);
-        }
-        self.emit_round_event(send_round, &counters);
-        Ok(())
-    }
-
-    /// The pre-optimization delivery path: rebuilds each sender's outbox
-    /// by value and allocates a fresh `Vec` per destination group, as the
-    /// engine did before the fast path landed. Kept (in release builds
-    /// too) purely so the test suite can A/B the two implementations —
-    /// see [`Simulator::with_reference_delivery`].
+    /// The reference delivery path: rebuilds each sender's outbox by
+    /// value, allocates a fresh `Vec` per destination group, and checks
+    /// each group's edge just before booking it. Shares no
+    /// sort/group/validate code with the fan-out; kept (in release
+    /// builds too) purely as the test suite's oracle — see
+    /// [`Simulator::with_reference_delivery`].
     fn commit_reference(&mut self, outboxes: &mut Outboxes<P::Msg>) -> Result<(), SimError> {
         let n = self.graph.node_count();
         let send_round = self.round;
@@ -1346,9 +1071,8 @@ where
     /// group was dropped, with no randomness consumed).
     ///
     /// The caller has already validated that `(from, to)` is an edge —
-    /// the reference path with a per-group `has_edge`, the fast path by
-    /// merge-walking the sorted neighbor slice alongside the sorted
-    /// destination groups.
+    /// the reference path with a per-group `has_edge`, the fan-out in
+    /// [`prepare_outbox`].
     #[allow(clippy::too_many_arguments)]
     fn account_group(
         &mut self,
@@ -1592,19 +1316,113 @@ fn write_section(w: &mut BitWriter, body: impl FnOnce(&mut BitWriter)) {
     w.write_bytes(&bytes);
 }
 
+/// One wave-1 sender range `base..base + programs.len()`, with that
+/// range's slice of every per-node buffer. The whole graph is one range
+/// when the round runs on one worker; otherwise it is split into one
+/// range per worker.
+struct SenderRange<'a, P: NodeProgram> {
+    base: NodeId,
+    programs: &'a mut [P],
+    rngs: &'a mut [StdRng],
+    outboxes: &'a mut [Vec<(NodeId, P::Msg)>],
+    inboxes: &'a [Vec<Incoming<P::Msg>>],
+    groups: &'a mut [Vec<(NodeId, usize, usize)>],
+    /// Per-node trace buffers; empty when the run is untraced.
+    traces: &'a mut [Vec<TraceEvent>],
+}
+
+impl<'a, P: NodeProgram> SenderRange<'a, P> {
+    /// Splits off the first `len` senders (or all, if fewer remain).
+    fn split_at(self, len: usize) -> (Self, Self) {
+        let len = len.min(self.programs.len());
+        let (programs, programs_rest) = self.programs.split_at_mut(len);
+        let (rngs, rngs_rest) = self.rngs.split_at_mut(len);
+        let (outboxes, outboxes_rest) = self.outboxes.split_at_mut(len);
+        let (inboxes, inboxes_rest) = self.inboxes.split_at(len);
+        let (groups, groups_rest) = self.groups.split_at_mut(len);
+        let (traces, traces_rest) = self.traces.split_at_mut(len.min(self.traces.len()));
+        let head = SenderRange {
+            base: self.base,
+            programs,
+            rngs,
+            outboxes,
+            inboxes,
+            groups,
+            traces,
+        };
+        let tail = SenderRange {
+            base: self.base + len,
+            programs: programs_rest,
+            rngs: rngs_rest,
+            outboxes: outboxes_rest,
+            inboxes: inboxes_rest,
+            groups: groups_rest,
+            traces: traces_rest,
+        };
+        (head, tail)
+    }
+
+    /// Wave 1 over this range: each live node's program, then
+    /// [`prepare_outbox`] and, given an arena, [`scatter_outbox`].
+    /// Stops at the first failure.
+    fn run(
+        self,
+        graph: &Graph,
+        faults: &FaultPlan,
+        round: usize,
+        mut arena: Option<&mut [Vec<Incoming<P::Msg>>]>,
+    ) -> Result<(), SimError> {
+        for (offset, prog) in self.programs.iter_mut().enumerate() {
+            let v = self.base + offset;
+            let outbox = &mut self.outboxes[offset];
+            if !faults.node_crashed(v, round) {
+                // Workers buffer events per node; the engine drains the
+                // buffers in node order afterwards, so the trace never
+                // observes the range layout.
+                let mut ctx = Context::new(v, graph, &mut self.rngs[offset], round, outbox)
+                    .with_trace(self.traces.get_mut(offset));
+                run_node(prog, &mut ctx, &self.inboxes[offset]);
+            }
+            // Even a crashed node's (empty) outbox goes through prepare:
+            // it clears the group scratch left by an earlier round.
+            let groups = &mut self.groups[offset];
+            prepare_outbox(graph, v, outbox, groups)?;
+            if let Some(arena) = arena.as_deref_mut() {
+                scatter_outbox(faults, round, v, outbox, groups, arena);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Runs one node's part of a wave: `on_start` in round 0 (the start
+/// wave), `on_round` in every later round.
+fn run_node<P: NodeProgram>(
+    prog: &mut P,
+    ctx: &mut Context<'_, P::Msg>,
+    inbox: &[Incoming<P::Msg>],
+) {
+    if ctx.round() == 0 {
+        prog.on_start(ctx);
+    } else {
+        prog.on_round(ctx, inbox);
+    }
+}
+
 /// One merge worker's view of every wave-1 scatter arena: for each
-/// arena (ascending sender chunk), the slice of destination columns
+/// arena (ascending sender range), the slice of destination columns
 /// this worker owns.
 type ArenaSlices<'a, M> = Vec<&'a mut [Vec<Incoming<M>>]>;
 
-/// Wave 1 of the parallel commit fan-out, per sender: sorts the outbox
-/// by destination when needed (stable — each destination's send order
-/// is preserved), records per-destination `(to, count, bits)` groups
-/// into the sender's persistent scratch, and merge-walks the sorted
-/// neighbor slice against the (sorted) groups to reject sends to
-/// non-neighbors — the same sort/group/validate work
-/// [`Simulator::commit_fast`] does inline, hoisted off the spine so
-/// workers do it concurrently.
+/// Wave 1 of the commit fan-out, per sender: sorts the outbox by
+/// destination when needed (stable — each destination's send order is
+/// preserved, and the sort, which allocates, is skipped when the program
+/// already sent in ascending-destination order), records
+/// per-destination `(to, count, bits)` groups into the sender's
+/// persistent scratch, and merge-walks the sorted neighbor slice
+/// against the (sorted) groups to reject sends to non-neighbors:
+/// O(deg + groups) per sender instead of a `has_edge` binary search per
+/// group.
 fn prepare_outbox<M: Message>(
     graph: &Graph,
     from: NodeId,
@@ -1643,7 +1461,7 @@ fn prepare_outbox<M: Message>(
     Ok(())
 }
 
-/// Drains one prepared outbox into a worker's scratch arena (wave 1,
+/// Drains one prepared outbox into its range's arena (wave 1,
 /// fault-transparent mode only): messages land in `arena[to]` in send
 /// order, and groups addressed to a downed link are consumed and
 /// skipped — a pure schedule lookup, so no fault randomness is

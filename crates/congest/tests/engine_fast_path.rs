@@ -1,14 +1,19 @@
-//! Regression coverage for the engine's allocation-free delivery fast
-//! path.
+//! Regression coverage for the engine's allocation-free round path.
 //!
 //! Two guarantees are pinned here:
 //!
-//! 1. **Fast path ≡ reference path.** The index-based commit fan-out and
-//!    double-buffered inboxes must be observationally identical to the
-//!    pre-optimization per-group-allocation implementation (kept as
-//!    `Simulator::with_reference_delivery`): same stats, same trace event
-//!    sequence, same checkpoint bytes — under faults, at any thread
-//!    count, and across checkpoint/restore boundaries.
+//! 1. **Fan-out ≡ reference path.** The commit fan-out — the engine's
+//!    one round path, run inline at one worker and on scoped threads at
+//!    more — and the double-buffered inboxes must be observationally
+//!    identical to the reference implementation behind
+//!    `Simulator::with_reference_delivery`: node programs in ascending
+//!    order, then a per-group-allocating commit with its own
+//!    sort/group/validate code. Same stats, same trace event sequence,
+//!    same checkpoint bytes — under link outages, corruption and random
+//!    faults, at any thread count, and across checkpoint/restore
+//!    boundaries. Runs with only the outage schedule take the fan-out's
+//!    scatter mode, where wave 1 skips a downed link's messages and the
+//!    spine books the drops; the reference path has no scatter mode.
 //! 2. **Version-1 checkpoints still decode.** The buffer-reuse refactor
 //!    must not disturb the wire format: a hand-encoded v1 image (the
 //!    layout that predates `RunStats::peak_edge`) restores and replays
@@ -21,13 +26,14 @@ use rand::SeedableRng;
 use congest_sim::algorithms::Flood;
 use congest_sim::wire::{BitWriter, WireState};
 use congest_sim::{
-    node_rng, FaultPlan, MemoryTracer, RunStats, SimConfig, SimError, Simulator, TraceEvent,
+    node_rng, FaultPlan, LinkOutage, MemoryTracer, RunStats, SimConfig, SimError, Simulator,
+    TraceEvent,
 };
 use rwbc_graph::generators::random_tree;
 use rwbc_graph::Graph;
 
 /// Strategy: a random connected graph big enough (n >= 64) that
-/// `threads > 1` actually takes the simulator's parallel path.
+/// `threads > 1` really splits the fan-out across workers.
 fn arb_large_graph() -> impl Strategy<Value = Graph> {
     (64usize..96, 0u64..200, 0usize..40).prop_map(|(n, seed, extra)| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -70,23 +76,36 @@ fn full_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The fast path must be byte-identical to the reference delivery
-    /// implementation: aggregate stats, the full trace event sequence,
-    /// and the end-of-run checkpoint image, under faults and at 1, 4,
-    /// and 8 threads (the latter two through the parallel commit
-    /// fan-out).
+    /// The commit fan-out must be byte-identical to the reference
+    /// delivery implementation: aggregate stats, the full trace event
+    /// sequence, and the end-of-run checkpoint image, under a link
+    /// outage with and without random faults, at 1, 4, and 8 threads.
     #[test]
     fn fast_path_matches_reference_delivery(
         g in arb_large_graph(),
         seed in 0u64..50,
-        drop_p in 0.0f64..0.3,
-        dup_p in 0.0f64..0.2,
-        delay_p in 0.0f64..0.2,
+        noisy in any::<bool>(),
+        (drop_p, dup_p, delay_p, corrupt_p) in
+            (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.2, 0.0f64..0.2),
+        (edge, outage_from, outage_len) in (any::<usize>(), 0usize..3, 1usize..4),
     ) {
+        let (u, v) = g.edge_vec()[edge % g.edge_count()];
+        let outage = LinkOutage {
+            u,
+            v,
+            from_round: outage_from,
+            until_round: outage_from + outage_len,
+        };
+        // Without the random faults the plan draws no per-message
+        // randomness, and the fan-out scatters instead of routing.
+        let p = |x: f64| if noisy { x } else { 0.0 };
         let faults = FaultPlan::default()
-            .with_drop_probability(drop_p)
-            .with_duplicate_probability(dup_p)
-            .with_delay_probability(delay_p);
+            .with_link_outage(outage)
+            .with_drop_probability(p(drop_p))
+            .with_duplicate_probability(p(dup_p))
+            .with_delay_probability(p(delay_p))
+            .with_corrupt_probability(p(corrupt_p));
+        prop_assert!(noisy || !faults.uses_rng());
         let cfg = |threads: usize| {
             SimConfig::default()
                 .with_seed(seed)
@@ -109,7 +128,7 @@ proptest! {
     }
 
     /// A checkpoint written mid-run by the reference implementation must
-    /// restore and finish identically under the fast path (and vice
+    /// restore and finish identically under the fan-out (and vice
     /// versa): the scratch buffers are invisible at round boundaries.
     #[test]
     fn mid_run_checkpoints_cross_between_implementations(
@@ -136,20 +155,21 @@ proptest! {
         interrupt(&mut first);
         let image = first.checkpoint();
         let (ref_stats, ref_final) = finish(first);
-        // ...finishes the same on the fast path (restore defaults to it)...
+        // ...finishes the same on the one-worker fan-out (restore
+        // defaults to it)...
         let resumed = Simulator::<Flood>::restore(&g, cfg.clone(), &image).unwrap();
         let (fast_stats, fast_final) = finish(resumed);
         prop_assert_eq!(&ref_stats, &fast_stats);
         prop_assert_eq!(&ref_final, &fast_final);
         // ...finishes the same when the t1 image resumes under the
-        // 8-thread parallel fan-out (thread count is a policy knob a
+        // 8-worker fan-out (thread count is a policy knob a
         // restore may change freely)...
         let wide = cfg.clone().with_threads(8).with_granularity(4);
         let resumed = Simulator::<Flood>::restore(&g, wide, &image).unwrap();
         let (wide_stats, wide_final) = finish(resumed);
         prop_assert_eq!(&ref_stats, &wide_stats);
         prop_assert_eq!(&ref_final, &wide_final);
-        // ...and the fast path emits the very same mid-run image.
+        // ...and the fan-out emits the very same mid-run image.
         let mut fast = Simulator::new(&g, cfg.clone(), |v| Flood::new(v, 0));
         interrupt(&mut fast);
         prop_assert_eq!(&image, &fast.checkpoint());

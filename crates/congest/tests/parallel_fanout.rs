@@ -18,7 +18,9 @@
 //! Compared per run: `RunStats`, the full trace event sequence, the
 //! metrics registry snapshot, and (for checkpointable programs) the
 //! end-of-run checkpoint bytes. A separate test crosses a *mid-run*
-//! checkpoint between t1 and t8 in both directions on the scatter path.
+//! checkpoint between t1 and t8 in both directions on the scatter path,
+//! and another pins that a round breaking two rules returns the same
+//! error at every thread count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,11 +28,11 @@ use rand::SeedableRng;
 
 use congest_sim::algorithms::Flood;
 use congest_sim::{
-    EngineMetrics, FaultPlan, LinkOutage, MemoryTracer, NodeCrash, Registry, Reliable, RunStats,
-    SimConfig, Simulator, TraceEvent,
+    Context, EngineMetrics, FaultPlan, Incoming, LinkOutage, MemoryTracer, Message, NodeCrash,
+    NodeProgram, Registry, Reliable, RunStats, SimConfig, SimError, Simulator, TraceEvent,
 };
-use rwbc_graph::generators::random_tree;
-use rwbc_graph::Graph;
+use rwbc_graph::generators::{cycle, random_tree};
+use rwbc_graph::{Graph, NodeId};
 
 /// Strategy: a random connected graph with n in [64, 96) — combined
 /// with `granularity = 4`, thread counts up to 8 all genuinely engage
@@ -280,4 +282,65 @@ fn restore_rederives_execution_echoes_from_the_restoring_config() {
     assert_eq!(resumed.stats().granularity, 8);
     // The wide restore writes the same image bytes right back.
     assert_eq!(sim.checkpoint(), resumed.checkpoint());
+}
+
+/// A message with a declared size of `bits` bits.
+#[derive(Debug, Clone)]
+struct Fat {
+    bits: usize,
+}
+
+impl Message for Fat {
+    fn bit_size(&self, _n: usize) -> usize {
+        self.bits
+    }
+}
+
+/// Breaks two rules in round 1: node 3 sends one bit over budget to its
+/// neighbour 4, and node 40 sends to node 104, which is not a neighbour.
+struct TwoViolations {
+    me: NodeId,
+    budget: usize,
+}
+
+impl NodeProgram for TwoViolations {
+    type Msg = Fat;
+
+    fn on_start(&mut self, _ctx: &mut Context<'_, Fat>) {}
+
+    fn on_round(&mut self, ctx: &mut Context<'_, Fat>, _inbox: &[Incoming<Fat>]) {
+        match self.me {
+            3 => ctx.send(
+                4,
+                Fat {
+                    bits: self.budget + 1,
+                },
+            ),
+            40 => ctx.send(104, Fat { bits: 1 }),
+            _ => {}
+        }
+    }
+
+    fn is_terminated(&self) -> bool {
+        false
+    }
+}
+
+/// The reported error is a function of the round, not of the worker
+/// layout: sends to non-neighbours are rejected before any group is
+/// booked, so the non-neighbour send of the higher sender wins over the
+/// lower sender's budget violation at every thread count.
+#[test]
+fn first_error_is_thread_count_invariant() {
+    let g = cycle(128).unwrap();
+    for threads in THREADS {
+        let cfg = config(7, threads, FaultPlan::default());
+        let budget = cfg.budget_bits(g.node_count());
+        let mut sim = Simulator::new(&g, cfg, |me| TwoViolations { me, budget });
+        assert_eq!(
+            sim.run().unwrap_err(),
+            SimError::NotNeighbor { from: 40, to: 104 },
+            "threads={threads}"
+        );
+    }
 }

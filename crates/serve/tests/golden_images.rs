@@ -34,7 +34,7 @@ fn checkpoint_images_match_the_pinned_stream() {
     let mut images = Vec::new();
     loop {
         let done = solver.step().expect("clean step");
-        if done || solver.rounds_completed() % EVERY == 0 {
+        if done || solver.rounds_completed().is_multiple_of(EVERY) {
             images.push(solver.checkpoint().expect("checkpointable"));
         }
         if done {
