@@ -288,12 +288,7 @@ pub fn fuzz_all_codecs(seed: u64, budget: usize) -> FuzzReport {
                     remaining: (1 + 13 * t as u32) & 0x7F,
                 })
                 .collect();
-            WalkBatch {
-                tokens,
-                len_bits: len_bits as u8,
-            }
-            .encode(n)
-            .to_vec()
+            WalkBatch::new(tokens, len_bits as u8).encode(n)
         })
         .collect();
     codecs.push(fuzz_codec(

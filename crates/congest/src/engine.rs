@@ -496,6 +496,7 @@ where
                 self.graph,
                 &mut self.rngs[v],
                 self.round,
+                self.stats.budget_bits,
                 &mut outboxes[v],
             )
             .with_trace(self.node_trace.get_mut(v));
@@ -547,6 +548,7 @@ where
         let chunk = n.div_ceil(workers);
         let graph = self.graph;
         let round = self.round;
+        let budget = self.stats.budget_bits;
         let faults = &self.config.faults;
         // Per-message fault randomness (drops, duplicates, delays,
         // corruption) must be drawn on the spine in deterministic
@@ -584,7 +586,7 @@ where
             .chain(self.worker_inboxes.iter_mut().map(Vec::as_mut_slice))
             .filter(|_| scatter);
         if workers == 1 {
-            senders.run(graph, faults, round, arenas.next())?;
+            senders.run(graph, faults, round, budget, arenas.next())?;
         } else {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(workers);
@@ -593,7 +595,8 @@ where
                     let (range, tail) = rest.split_at(chunk);
                     rest = tail;
                     let arena = arenas.next();
-                    handles.push(scope.spawn(move || range.run(graph, faults, round, arena)));
+                    handles
+                        .push(scope.spawn(move || range.run(graph, faults, round, budget, arena)));
                 }
                 // Join in range order: ranges cover ascending senders
                 // and each stops at its first failure, so the failure
@@ -1370,6 +1373,7 @@ impl<'a, P: NodeProgram> SenderRange<'a, P> {
         graph: &Graph,
         faults: &FaultPlan,
         round: usize,
+        budget: usize,
         mut arena: Option<&mut [Vec<Incoming<P::Msg>>]>,
     ) -> Result<(), SimError> {
         for (offset, prog) in self.programs.iter_mut().enumerate() {
@@ -1379,7 +1383,7 @@ impl<'a, P: NodeProgram> SenderRange<'a, P> {
                 // Workers buffer events per node; the engine drains the
                 // buffers in node order afterwards, so the trace never
                 // observes the range layout.
-                let mut ctx = Context::new(v, graph, &mut self.rngs[offset], round, outbox)
+                let mut ctx = Context::new(v, graph, &mut self.rngs[offset], round, budget, outbox)
                     .with_trace(self.traces.get_mut(offset));
                 run_node(prog, &mut ctx, &self.inboxes[offset]);
             }

@@ -38,6 +38,8 @@ pub struct Context<'a, M> {
     graph: &'a Graph,
     rng: &'a mut StdRng,
     round: usize,
+    /// The per-edge bit budget this program's messages must fit.
+    budget_bits: usize,
     outbox: &'a mut Vec<(NodeId, M)>,
     /// Per-node event buffer when the run is traced. Buffers are
     /// drained by the engine in ascending node order each round, so
@@ -51,6 +53,7 @@ impl<'a, M: Message> Context<'a, M> {
         graph: &'a Graph,
         rng: &'a mut StdRng,
         round: usize,
+        budget_bits: usize,
         outbox: &'a mut Vec<(NodeId, M)>,
     ) -> Context<'a, M> {
         Context {
@@ -58,6 +61,7 @@ impl<'a, M: Message> Context<'a, M> {
             graph,
             rng,
             round,
+            budget_bits,
             outbox,
             trace: None,
         }
@@ -104,6 +108,15 @@ impl<'a, M: Message> Context<'a, M> {
     /// as assumed by the paper's Algorithm 1 input).
     pub fn network_size(&self) -> usize {
         self.graph.node_count()
+    }
+
+    /// The per-edge bit budget of this run: the most bits one message
+    /// may carry, `SimConfig::budget_bits` of the network size. Behind an
+    /// adapter that frames messages (such as
+    /// [`Reliable`](crate::Reliable)) it is what is left for the payload
+    /// after the frame's own bits.
+    pub fn budget_bits(&self) -> usize {
+        self.budget_bits
     }
 
     /// This node's degree.

@@ -617,13 +617,20 @@ impl<P: NodeProgram> Reliable<P> {
         let round = ctx.round();
         let id = ctx.id();
         let graph = ctx.graph_ref();
+        // The inner program sizes payloads against what a frame leaves.
+        let seal = if self.checksums {
+            Self::CHECKSUM_BITS
+        } else {
+            0
+        };
+        let budget = ctx.budget_bits().saturating_sub(Self::HEADER_BITS + seal);
         {
             // The inner program shares the node's RNG *and* its trace
             // buffer, so application-level events flow through the
             // delivery layer unchanged.
             let (rng, trace) = ctx.rng_and_trace();
             let mut inner_ctx =
-                Context::new(id, graph, rng, round, &mut inner_outbox).with_trace(trace);
+                Context::new(id, graph, rng, round, budget, &mut inner_outbox).with_trace(trace);
             if start {
                 self.inner.on_start(&mut inner_ctx);
             } else {

@@ -2,10 +2,55 @@
 
 use congest_sim::algorithms::Flood;
 use congest_sim::{
-    FaultPlan, LinkOutage, NodeProgram, Reliable, SimConfig, SimError, Simulator,
-    DEFAULT_DEATH_THRESHOLD,
+    Context, FaultPlan, Incoming, LinkOutage, NodeProgram, Reliable, SimConfig, SimError,
+    Simulator, DEFAULT_DEATH_THRESHOLD,
 };
 use rwbc_graph::generators::{cycle, path, star};
+
+/// Records the per-edge budget its context reports, and sends nothing.
+struct BudgetProbe(Option<usize>);
+
+impl NodeProgram for BudgetProbe {
+    type Msg = ();
+
+    fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+        self.0 = Some(ctx.budget_bits());
+    }
+
+    fn on_round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Incoming<()>]) {
+        self.0 = Some(ctx.budget_bits());
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+#[test]
+fn wrapped_programs_see_the_budget_a_frame_leaves_them() {
+    // n = 8: B = 3c bits.
+    let g = path(8).unwrap();
+    let config = SimConfig::default().with_bandwidth_coeff(16);
+    let mut bare = Simulator::new(&g, config.clone(), |_| BudgetProbe(None));
+    bare.run().unwrap();
+    assert!(bare.programs().iter().all(|p| p.0 == Some(48)));
+    let header = Reliable::<BudgetProbe>::HEADER_BITS;
+    let seal = Reliable::<BudgetProbe>::CHECKSUM_BITS;
+    let mut plain = Simulator::new(&g, config.clone(), |_| Reliable::new(BudgetProbe(None)));
+    plain.run().unwrap();
+    assert!(plain
+        .programs()
+        .iter()
+        .all(|p| p.inner().0 == Some(48 - header)));
+    let mut sealed = Simulator::new(&g, config, |_| {
+        Reliable::new(BudgetProbe(None)).with_checksums()
+    });
+    sealed.run().unwrap();
+    assert!(sealed
+        .programs()
+        .iter()
+        .all(|p| p.inner().0 == Some(48 - header - seal)));
+}
 
 #[test]
 fn fault_free_reliable_run_neither_retransmits_nor_suppresses() {

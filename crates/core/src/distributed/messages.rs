@@ -28,37 +28,92 @@ pub struct WalkToken {
     pub remaining: u32,
 }
 
-/// One phase-1 message: one or more walk tokens crossing an edge in a
-/// round.
+/// One phase-1 message: the walk tokens crossing an edge in a round.
 ///
 /// Under the paper's discipline ([`CongestionDiscipline::HoldAndResend`])
 /// a batch always holds exactly one token; the batched ablation packs as
-/// many as the bit budget allows.
+/// many as the run's per-edge bit budget allows, up to the 15 tokens the
+/// 4-bit count header can express.
+///
+/// A one-token batch is held inline, so the walk phase's million-odd
+/// messages per solve allocate nothing; any other count keeps its tokens
+/// on the heap. The representation never shows: equality, the wire
+/// encoding, [`Message::bit_size`], [`Message::digest`] and the
+/// checkpoint bytes depend only on [`WalkBatch::tokens`] and
+/// [`WalkBatch::len_bits`].
 ///
 /// [`CongestionDiscipline::HoldAndResend`]: crate::distributed::CongestionDiscipline::HoldAndResend
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct WalkBatch {
-    /// The tokens.
-    pub tokens: Vec<WalkToken>,
+    tokens: Tokens,
     /// Width of the remaining-length field, `⌈log₂ (l + 1)⌉` bits,
     /// fixed per run at construction.
     pub len_bits: u8,
+}
+
+/// Storage of a [`WalkBatch`]'s tokens.
+#[derive(Debug, Clone)]
+enum Tokens {
+    /// Exactly one token, inline.
+    One(WalkToken),
+    /// Any other count, on the heap (never exactly one).
+    Many(Vec<WalkToken>),
 }
 
 /// Width of the batch-size header (tokens per message is small).
 const BATCH_HEADER_BITS: usize = 4;
 
 impl WalkBatch {
+    /// Most tokens one batch can carry: the largest count the
+    /// [`BATCH_HEADER_BITS`]-bit header can express.
+    pub const MAX_TOKENS: usize = (1 << BATCH_HEADER_BITS) - 1;
+
+    /// A batch of one token, held inline.
+    pub fn one(token: WalkToken, len_bits: u8) -> WalkBatch {
+        WalkBatch {
+            tokens: Tokens::One(token),
+            len_bits,
+        }
+    }
+
+    /// A batch of `tokens`, in order. A one-token list is moved inline.
+    pub fn new(tokens: Vec<WalkToken>, len_bits: u8) -> WalkBatch {
+        match *tokens.as_slice() {
+            [token] => WalkBatch::one(token, len_bits),
+            _ => WalkBatch {
+                tokens: Tokens::Many(tokens),
+                len_bits,
+            },
+        }
+    }
+
+    /// The tokens, in wire order.
+    pub fn tokens(&self) -> &[WalkToken] {
+        match &self.tokens {
+            Tokens::One(token) => std::slice::from_ref(token),
+            Tokens::Many(tokens) => tokens,
+        }
+    }
+
     /// Bits one token occupies in a network of `n` nodes.
     pub fn token_bits(n: usize, len_bits: u8) -> usize {
         bits_for_node_id(n) + len_bits as usize
     }
 
+    /// Tokens per batch that fit a per-edge budget of `budget_bits` in a
+    /// network of `n` nodes: as many as fit after the count header,
+    /// capped at [`WalkBatch::MAX_TOKENS`], and at least one (a budget
+    /// too small for one token is the engine's to reject).
+    pub fn capacity(budget_bits: usize, n: usize, len_bits: u8) -> usize {
+        let token = WalkBatch::token_bits(n, len_bits);
+        (budget_bits.saturating_sub(BATCH_HEADER_BITS) / token).clamp(1, WalkBatch::MAX_TOKENS)
+    }
+
     /// Encodes to real bytes (used by tests to validate `bit_size`).
     pub fn encode(&self, n: usize) -> Vec<u8> {
         let mut w = BitWriter::new();
-        w.write_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
-        for t in &self.tokens {
+        w.write_bits(self.tokens().len() as u64, BATCH_HEADER_BITS);
+        for t in self.tokens() {
             w.write_bits(t.source as u64, bits_for_node_id(n));
             w.write_bits(u64::from(t.remaining), self.len_bits as usize);
         }
@@ -83,18 +138,26 @@ impl WalkBatch {
             let remaining = r.read_bits(len_bits as usize)? as u32;
             tokens.push(WalkToken { source, remaining });
         }
-        Some(WalkBatch { tokens, len_bits })
+        Some(WalkBatch::new(tokens, len_bits))
     }
 }
 
+impl PartialEq for WalkBatch {
+    fn eq(&self, other: &WalkBatch) -> bool {
+        self.len_bits == other.len_bits && self.tokens() == other.tokens()
+    }
+}
+
+impl Eq for WalkBatch {}
+
 impl Message for WalkBatch {
     fn bit_size(&self, n: usize) -> usize {
-        BATCH_HEADER_BITS + self.tokens.len() * WalkBatch::token_bits(n, self.len_bits)
+        BATCH_HEADER_BITS + self.tokens().len() * WalkBatch::token_bits(n, self.len_bits)
     }
 
     fn digest(&self, n: usize, crc: &mut Crc32) {
-        crc.update_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
-        for t in &self.tokens {
+        crc.update_bits(self.tokens().len() as u64, BATCH_HEADER_BITS);
+        for t in self.tokens() {
             crc.update_bits(t.source as u64, bits_for_node_id(n));
             crc.update_bits(u64::from(t.remaining), self.len_bits as usize);
         }
@@ -143,17 +206,21 @@ impl WireState for WalkToken {
 }
 
 // Host-side checkpoint encoding (full-width fields; the budget-charged
-// on-wire form stays `WalkBatch::encode`/`decode`).
+// on-wire form stays `WalkBatch::encode`/`decode`). The token list is
+// written as a `Vec<WalkToken>` (64-bit length, then the tokens) whatever
+// its storage, so images do not depend on the inline form.
 impl WireState for WalkBatch {
     fn encode_state(&self, w: &mut BitWriter) {
-        self.tokens.encode_state(w);
+        let tokens = self.tokens();
+        (tokens.len() as u64).encode_state(w);
+        for token in tokens {
+            token.encode_state(w);
+        }
         self.len_bits.encode_state(w);
     }
     fn decode_state(r: &mut BitReader<'_>) -> Option<WalkBatch> {
-        Some(WalkBatch {
-            tokens: Vec::decode_state(r)?,
-            len_bits: u8::decode_state(r)?,
-        })
+        let tokens = Vec::decode_state(r)?;
+        Some(WalkBatch::new(tokens, u8::decode_state(r)?))
     }
 }
 
@@ -259,8 +326,8 @@ mod tests {
     fn walk_batch_round_trips_and_size_matches() {
         let n = 300;
         let len_bits = len_field_bits(500);
-        let batch = WalkBatch {
-            tokens: vec![
+        let batch = WalkBatch::new(
+            vec![
                 WalkToken {
                     source: 7,
                     remaining: 499,
@@ -275,12 +342,111 @@ mod tests {
                 },
             ],
             len_bits,
-        };
+        );
         let bytes = batch.encode(n);
         // Declared size must match the real encoding (up to byte padding).
         assert_eq!(bytes.len(), batch.bit_size(n).div_ceil(8));
         let back = WalkBatch::decode(&bytes, n, len_bits).unwrap();
         assert_eq!(back, batch);
+    }
+
+    /// The `Vec`-form batch the inline one replaced, kept as the
+    /// reference its wire forms must match byte for byte.
+    struct VecBatch {
+        tokens: Vec<WalkToken>,
+        len_bits: u8,
+    }
+
+    impl VecBatch {
+        fn encode(&self, n: usize) -> Vec<u8> {
+            let mut w = BitWriter::new();
+            w.write_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
+            for t in &self.tokens {
+                w.write_bits(t.source as u64, bits_for_node_id(n));
+                w.write_bits(u64::from(t.remaining), self.len_bits as usize);
+            }
+            w.finish()
+        }
+
+        fn bit_size(&self, n: usize) -> usize {
+            BATCH_HEADER_BITS + self.tokens.len() * WalkBatch::token_bits(n, self.len_bits)
+        }
+
+        fn digest(&self, n: usize) -> u32 {
+            let mut crc = Crc32::new();
+            crc.update_bits(self.tokens.len() as u64, BATCH_HEADER_BITS);
+            for t in &self.tokens {
+                crc.update_bits(t.source as u64, bits_for_node_id(n));
+                crc.update_bits(u64::from(t.remaining), self.len_bits as usize);
+            }
+            crc.finish()
+        }
+
+        fn state(&self) -> Vec<u8> {
+            let mut w = BitWriter::new();
+            self.tokens.encode_state(&mut w);
+            self.len_bits.encode_state(&mut w);
+            w.finish()
+        }
+    }
+
+    #[test]
+    fn walk_batch_wire_forms_match_the_vec_reference() {
+        use rand::SeedableRng;
+        let n = 300;
+        let len_bits = len_field_bits(500);
+        let mut rng = StdRng::seed_from_u64(16);
+        for count in [0, 1, 2, WalkBatch::MAX_TOKENS] {
+            for _ in 0..20 {
+                let tokens: Vec<WalkToken> = (0..count)
+                    .map(|_| WalkToken {
+                        source: rng.gen_range(0..n),
+                        remaining: rng.gen_range(0..=500),
+                    })
+                    .collect();
+                let reference = VecBatch {
+                    tokens: tokens.clone(),
+                    len_bits,
+                };
+                let batch = WalkBatch::new(tokens, len_bits);
+                assert_eq!(batch.tokens(), reference.tokens.as_slice());
+                if let [token] = *batch.tokens() {
+                    assert_eq!(batch, WalkBatch::one(token, len_bits));
+                }
+                let bytes = batch.encode(n);
+                assert_eq!(bytes, reference.encode(n), "{count} tokens");
+                assert_eq!(batch.bit_size(n), reference.bit_size(n));
+                let mut crc = Crc32::new();
+                batch.digest(n, &mut crc);
+                assert_eq!(crc.finish(), reference.digest(n));
+                let back = WalkBatch::decode(&bytes, n, len_bits).unwrap();
+                assert_eq!(back.tokens(), reference.tokens.as_slice());
+                let mut w = BitWriter::new();
+                batch.encode_state(&mut w);
+                let state = w.finish();
+                assert_eq!(state, reference.state(), "{count} tokens");
+                let restored = WalkBatch::decode_state(&mut BitReader::new(&state)).unwrap();
+                assert_eq!(restored, batch);
+                let mut w = BitWriter::new();
+                restored.encode_state(&mut w);
+                assert_eq!(w.finish(), state);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_capacity_fits_the_budget_and_the_header() {
+        let (n, len_bits) = (25, len_field_bits(25));
+        let token = WalkBatch::token_bits(n, len_bits);
+        assert_eq!(token, 10);
+        // B(25) = c · 5 bits: 4 header bits, then whole tokens.
+        assert_eq!(WalkBatch::capacity(20, n, len_bits), 1);
+        assert_eq!(WalkBatch::capacity(40, n, len_bits), 3);
+        assert_eq!(WalkBatch::capacity(80, n, len_bits), 7);
+        // The 4-bit header counts at most 15 tokens.
+        assert_eq!(WalkBatch::capacity(320, n, len_bits), WalkBatch::MAX_TOKENS);
+        // A budget below one token still ships one (the engine rejects it).
+        assert_eq!(WalkBatch::capacity(3, n, len_bits), 1);
     }
 
     #[test]
@@ -322,8 +488,8 @@ mod tests {
         use rand::SeedableRng;
         let n = 300;
         let len_bits = len_field_bits(500);
-        let batch = WalkBatch {
-            tokens: vec![
+        let batch = WalkBatch::new(
+            vec![
                 WalkToken {
                     source: 7,
                     remaining: 499,
@@ -334,7 +500,7 @@ mod tests {
                 },
             ],
             len_bits,
-        };
+        );
         let mut rng = StdRng::seed_from_u64(5);
         let mut survived = 0usize;
         let mut destroyed = 0usize;
@@ -345,7 +511,7 @@ mod tests {
                         survived += 1;
                         // Whatever survives decodes cleanly: in-range
                         // sources, same field widths.
-                        assert!(m.tokens.iter().all(|t| t.source < n));
+                        assert!(m.tokens().iter().all(|t| t.source < n));
                         assert_eq!(m.len_bits, len_bits);
                     }
                     None => destroyed += 1,
@@ -384,15 +550,20 @@ mod tests {
             batch.digest(n, &mut crc);
             crc.finish()
         };
-        let a = WalkBatch {
-            tokens: vec![WalkToken {
+        let a = WalkBatch::one(
+            WalkToken {
                 source: 7,
                 remaining: 9,
-            }],
+            },
             len_bits,
-        };
-        let mut b = a.clone();
-        b.tokens[0].remaining = 8;
+        );
+        let b = WalkBatch::one(
+            WalkToken {
+                source: 7,
+                remaining: 8,
+            },
+            len_bits,
+        );
         assert_ne!(d(&a), d(&b));
         // The digest hashes exactly the encoded bits: byte-hashing the
         // real encoding gives the same checksum.
@@ -405,13 +576,13 @@ mod tests {
         // must fit B(n) = 8 ceil(log2 n) for reasonable n and l = n ln(1/eps).
         for n in [8usize, 64, 1000, 1 << 20] {
             let l = (n as f64 * 10.0f64.ln()).ceil() as usize;
-            let batch = WalkBatch {
-                tokens: vec![WalkToken {
+            let batch = WalkBatch::one(
+                WalkToken {
                     source: 0,
                     remaining: l as u32,
-                }],
-                len_bits: len_field_bits(l),
-            };
+                },
+                len_field_bits(l),
+            );
             let budget = congest_sim::SimConfig::default().budget_bits(n);
             assert!(
                 batch.bit_size(n) <= budget,

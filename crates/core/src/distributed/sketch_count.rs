@@ -267,19 +267,14 @@ impl SketchCountProgram {
                     0.0
                 }
             };
-            let own: Vec<f64> = self
-                .sketch
-                .buckets
-                .iter()
-                .zip(weights.iter())
-                .map(|(&s, &w)| avg(s, w))
-                .collect();
-            let flat: Vec<f64> = (0..b * self.degree)
-                .map(|i| avg(self.cols[i], weights[i / self.degree]))
-                .collect();
             let me_bucket = bucket_of(self.me, self.sketch.precision);
-            let inner =
-                node_net_flow_weighted_strided(me_bucket, &own, &flat, self.degree, &weights);
+            let inner = node_net_flow_weighted_strided(
+                me_bucket,
+                &self.sketch.buckets,
+                &self.cols,
+                &weights,
+                avg,
+            );
             let nf = self.effective_n as f64;
             self.betweenness = Some((inner + (nf - 1.0)) / (nf * (nf - 1.0) / 2.0));
             if ctx.tracing() {

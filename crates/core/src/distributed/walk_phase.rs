@@ -3,6 +3,7 @@
 //! per source.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use congest_sim::{Context, Incoming, NodeProgram, TraceEvent};
 use rwbc_graph::NodeId;
@@ -19,7 +20,16 @@ use crate::distributed::{CongestionDiscipline, SourceTally, TallyLog};
 /// walk needs the same edge, send one") is implemented as hold-and-resend:
 /// losers stay queued and keep their rolled neighbor for the next round.
 /// The batched variant (ablation D3) instead packs as many tokens per
-/// message as the bit budget allows.
+/// message as the run's per-edge bit budget ([`Context::budget_bits`])
+/// allows, up to [`WalkBatch::MAX_TOKENS`].
+///
+/// # Host-side cost per token
+///
+/// Token forwarding is the phase's unit of work, so its bookkeeping is
+/// kept off the allocator: a one-token [`WalkBatch`] holds its token
+/// inline, the forwarding buffers persist from round to round, and the
+/// ticket map hashes its packed `(source, remaining)` key with a
+/// multiply–xorshift mixer instead of SipHash (see DESIGN §14).
 ///
 /// # Schedule-invariant randomness
 ///
@@ -56,8 +66,9 @@ pub struct WalkProgram {
     discipline: CongestionDiscipline,
     /// Seed of the schedule-invariant draw streams (see [`Self::roll`]).
     draw_seed: u64,
-    /// Tickets issued per walk state `(source, remaining)` at this node.
-    tickets: HashMap<(NodeId, u32), u32>,
+    /// Tickets issued per walk state `(source, remaining)` at this node,
+    /// keyed by [`ticket_key`].
+    tickets: HashMap<u64, u32, BuildHasherDefault<TicketHasher>>,
     /// Tokens currently parked at this node, waiting to move.
     queue: Vec<Queued>,
     /// `ξ_me^s` for every source `s` whose walks reached this node.
@@ -97,20 +108,61 @@ impl Queued {
 }
 
 /// Reusable buffers for [`WalkProgram::forward`], so the per-round
-/// distribution step allocates nothing in steady state. Never part of
-/// the protocol state: empty between rounds, excluded from equality.
+/// distribution step allocates nothing in steady state (a multi-token
+/// batch still owns a heap list). Never part of the protocol state:
+/// empty between rounds, excluded from equality.
 #[derive(Debug, Clone, Default)]
 struct ForwardScratch {
-    /// One bucket per neighbor index; each bucket's `Vec` is moved into
-    /// the outgoing [`WalkBatch`] (the message owns its tokens), but the
-    /// outer `Vec` persists.
-    per_neighbor: Vec<Vec<WalkToken>>,
+    /// Tokens bound for each neighbor index this round; zero between
+    /// rounds.
+    fill: Vec<u8>,
+    /// The tokens shipped this round with their neighbor index, in queue
+    /// order.
+    outgoing: Vec<(u32, WalkToken)>,
     /// Tokens held back by the congestion discipline this round; swapped
     /// with `queue` at the end of the distribution, so both buffers keep
     /// their capacity.
     keep: Vec<Queued>,
     /// Live-neighbor indices when some neighbors are dead.
     live: Vec<usize>,
+}
+
+/// The ticket map's key: `source` in the high half, `remaining` in the
+/// low half, so key order is `(source, remaining)` order.
+fn ticket_key(source: NodeId, remaining: u32) -> u64 {
+    debug_assert!(source <= u32::MAX as usize, "node ids fit 32 bits");
+    (source as u64) << 32 | u64::from(remaining)
+}
+
+/// The inverse of [`ticket_key`].
+fn ticket_state(key: u64) -> (NodeId, u32) {
+    ((key >> 32) as NodeId, key as u32)
+}
+
+/// Hasher of the ticket map: one multiply between two xorshifts over the
+/// packed key, a few cycles where SipHash takes dozens on every forwarded
+/// token. The map's keys come from the run itself, not from an
+/// adversary, so SipHash's flooding resistance buys nothing here. The
+/// fold brings the source half into the low bits the table indexes by;
+/// the multiply spreads both halves over the high bits it tags with.
+#[derive(Debug, Clone, Copy, Default)]
+struct TicketHasher(u64);
+
+impl Hasher for TicketHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ self.0 >> 32).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ h >> 29
+    }
 }
 
 /// SplitMix64 finalizer — the avalanche stage behind the draw streams.
@@ -200,7 +252,7 @@ impl WalkProgram {
             len_bits,
             discipline,
             draw_seed: 0,
-            tickets: HashMap::new(),
+            tickets: HashMap::default(),
             queue,
             counts: TallyLog::new(),
             deaths,
@@ -266,7 +318,10 @@ impl WalkProgram {
     /// of them gets which ticket never changes the visit-count multiset —
     /// the schedule-invariance property in the type docs.
     fn roll(&mut self, source: NodeId, remaining: u32, bound: usize) -> usize {
-        let t = self.tickets.entry((source, remaining)).or_insert(0);
+        let t = self
+            .tickets
+            .entry(ticket_key(source, remaining))
+            .or_insert(0);
         let ticket = *t;
         *t += 1;
         let mut h = self.draw_seed;
@@ -314,19 +369,19 @@ impl WalkProgram {
         let max_per_edge = match self.discipline {
             CongestionDiscipline::HoldAndResend => 1,
             CongestionDiscipline::Batched => {
-                let budget = congest_sim::SimConfig::default().budget_bits(ctx.network_size());
-                let token = WalkBatch::token_bits(ctx.network_size(), self.len_bits);
-                ((budget.saturating_sub(4)) / token).max(1)
+                WalkBatch::capacity(ctx.budget_bits(), ctx.network_size(), self.len_bits)
             }
         };
-        if self.scratch.per_neighbor.len() < deg {
-            self.scratch.per_neighbor.resize_with(deg, Vec::new);
+        let scratch = &mut self.scratch;
+        if scratch.fill.len() < deg {
+            scratch.fill.resize(deg, 0);
         }
-        debug_assert!(self.scratch.per_neighbor.iter().all(Vec::is_empty));
-        debug_assert!(self.scratch.keep.is_empty());
+        debug_assert!(scratch.fill.iter().all(|&f| f == 0));
+        debug_assert!(scratch.outgoing.is_empty());
+        debug_assert!(scratch.keep.is_empty());
         // Roll a neighbor for each token that doesn't have one yet (paper
-        // line 6, first half: "choose a random neighbor v") and bucket it,
-        // taking up to `max_per_edge` per neighbor; the rest wait (line 6,
+        // line 6, first half: "choose a random neighbor v") and ship it,
+        // up to `max_per_edge` per neighbor; the rest wait (line 6,
         // second half) and keep their roll, so congestion never costs a
         // state a second draw.
         let mut queue = std::mem::take(&mut self.queue);
@@ -341,11 +396,12 @@ impl WalkProgram {
                     self.scratch.live[j]
                 }
             };
-            let bucket = &mut self.scratch.per_neighbor[choice];
-            if bucket.len() < max_per_edge {
-                bucket.push(q.token);
+            let scratch = &mut self.scratch;
+            if usize::from(scratch.fill[choice]) < max_per_edge {
+                scratch.fill[choice] += 1;
+                scratch.outgoing.push((choice as u32, q.token));
             } else {
-                self.scratch.keep.push(Queued {
+                scratch.keep.push(Queued {
                     token: q.token,
                     choice: Some(choice as u32),
                 });
@@ -355,22 +411,20 @@ impl WalkProgram {
         // tokens and `scratch.keep` is the (empty) old queue buffer.
         std::mem::swap(&mut queue, &mut self.scratch.keep);
         self.queue = queue;
-        for i in 0..deg {
-            if self.scratch.per_neighbor[i].is_empty() {
-                continue;
-            }
-            // The bucket's `Vec` moves into the message (the batch owns its
-            // tokens); only the outer arena is retained.
-            let tokens = std::mem::take(&mut self.scratch.per_neighbor[i]);
-            let to = ctx.neighbor(i);
-            ctx.send(
-                to,
-                WalkBatch {
-                    tokens,
-                    len_bits: self.len_bits,
-                },
-            );
+        // One message per neighbor, in ascending neighbor order; the
+        // stable sort keeps each batch's tokens in queue order.
+        let scratch = &mut self.scratch;
+        scratch.outgoing.sort_by_key(|&(choice, _)| choice);
+        for group in scratch.outgoing.chunk_by(|a, b| a.0 == b.0) {
+            let i = group[0].0 as usize;
+            scratch.fill[i] = 0;
+            let batch = match *group {
+                [(_, token)] => WalkBatch::one(token, self.len_bits),
+                _ => WalkBatch::new(group.iter().map(|&(_, t)| t).collect(), self.len_bits),
+            };
+            ctx.send(ctx.neighbor(i), batch);
         }
+        scratch.outgoing.clear();
     }
 }
 
@@ -390,8 +444,11 @@ impl congest_sim::wire::WireState for WalkProgram {
         self.len_bits.encode_state(w);
         matches!(self.discipline, CongestionDiscipline::Batched).encode_state(w);
         self.draw_seed.encode_state(w);
-        let mut tickets: Vec<((NodeId, u32), u32)> =
-            self.tickets.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut tickets: Vec<((NodeId, u32), u32)> = self
+            .tickets
+            .iter()
+            .map(|(&k, &v)| (ticket_state(k), v))
+            .collect();
         tickets.sort_unstable();
         tickets.encode_state(w);
         let queue: Vec<(WalkToken, Option<u32>)> =
@@ -423,6 +480,7 @@ impl congest_sim::wire::WireState for WalkProgram {
         let in_range = deaths_len == n
             && me < n
             && target < n
+            && tickets.iter().all(|&((source, _), _)| source < n)
             && queue.iter().all(|(token, _)| token.source < n);
         if !in_range {
             return None;
@@ -435,7 +493,10 @@ impl congest_sim::wire::WireState for WalkProgram {
             len_bits,
             discipline,
             draw_seed,
-            tickets: tickets.into_iter().collect(),
+            tickets: tickets
+                .into_iter()
+                .map(|((source, remaining), t)| (ticket_key(source, remaining), t))
+                .collect(),
             queue: queue
                 .into_iter()
                 .map(|(token, choice)| Queued { token, choice })
@@ -461,7 +522,7 @@ impl NodeProgram for WalkProgram {
         let mut absorbed = 0u64;
         let mut truncated = 0u64;
         for batch in inbox {
-            for token in &batch.msg.tokens {
+            for token in batch.msg.tokens() {
                 // Paper lines 7-16: absorb at the target, otherwise count
                 // the visit, decrement, and keep the walk if it has hops
                 // left.
@@ -733,8 +794,11 @@ mod tests {
         p.len_bits.encode_state(&mut w);
         matches!(p.discipline, CongestionDiscipline::Batched).encode_state(&mut w);
         p.draw_seed.encode_state(&mut w);
-        let mut tickets: Vec<((NodeId, u32), u32)> =
-            p.tickets.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut tickets: Vec<((NodeId, u32), u32)> = p
+            .tickets
+            .iter()
+            .map(|(&k, &v)| (ticket_state(k), v))
+            .collect();
         tickets.sort_unstable();
         tickets.encode_state(&mut w);
         let queue: Vec<(WalkToken, Option<u32>)> =
@@ -814,7 +878,9 @@ mod tests {
             source: 7,
             remaining: 2,
         }));
-        for bad in [bad_me, bad_target, bad_token] {
+        let mut bad_ticket = p.clone();
+        bad_ticket.tickets.insert(ticket_key(7, 2), 1);
+        for bad in [bad_me, bad_target, bad_token, bad_ticket] {
             assert!(WalkProgram::decode_state(&mut BitReader::new(&encode(&bad))).is_none());
         }
     }

@@ -19,6 +19,14 @@
 //!
 //! Both the direct and the sorted reductions are implemented and
 //! cross-checked by tests; callers choose via [`PairSumMethod`].
+//!
+//! The distributed combine ([`node_net_flow_sorted_strided`],
+//! [`node_net_flow_weighted_strided`]) runs once per node over every
+//! neighbor slot, so it sorts with reusable [`CombineScratch`] buffers
+//! and integer keys instead of a fresh comparison-sorted column per slot.
+//! The keys reproduce the stable `partial_cmp` order exactly (see
+//! [`CombineScratch::sort_kept`]), so each sum adds the same terms in the
+//! same order and the result is bit-identical.
 
 use rwbc_graph::Graph;
 
@@ -93,11 +101,207 @@ pub(crate) fn node_net_flow_sorted<'a>(
     acc / 2.0
 }
 
+/// Order-preserving integer image of a non-NaN `f64`: `a < b` exactly
+/// when `key(a) < key(b)`. −0.0 maps to +0.0's image, so two values get
+/// equal keys exactly when `partial_cmp` calls them equal.
+///
+/// Branch-free: the potentials' signs are data, so a branch on them would
+/// be mispredicted about half the time.
+fn order_bits(v: f64) -> u64 {
+    // `-0.0 + 0.0 == +0.0`; every other value is unchanged.
+    let bits = (v + 0.0).to_bits();
+    // Negative: flip every bit; non-negative: set the sign bit.
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// Reusable buffers of the distributed combine, one set per node: every
+/// neighbor slot's reduction reuses them, so after the first slot the
+/// combine allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct CombineScratch {
+    /// The node's own column (sketch combine: its bucket averages).
+    own: Vec<f64>,
+    /// The current slot's difference column `z`.
+    z: Vec<f64>,
+    /// `order_bits(z[i])` for every entry.
+    bits: Vec<u64>,
+    /// After [`CombineScratch::sort_kept`]: the kept entries in sorted
+    /// order, each as its truncated key with the entry index in the low
+    /// bits.
+    keys: Vec<u64>,
+    /// The sorted values (exact combine) or `(value, weight)` pairs
+    /// (sketch combine).
+    values: Vec<f64>,
+    pairs: Vec<(f64, f64)>,
+    /// `prefix[k]`: the running sum of the first `k` sorted values, or of
+    /// their weights.
+    prefix: Vec<f64>,
+    /// `prefix_wv[k] = Σ_{j<k} weight_j · value_j` (sketch combine).
+    prefix_wv: Vec<f64>,
+}
+
+impl CombineScratch {
+    /// Sorts the entries `i` of `self.z` with `keep(i)` into `self.keys`
+    /// in exactly the order a stable `partial_cmp` sort gives them: by
+    /// value, and equal values (±0.0 included) in index order. Returns
+    /// the mask that extracts an entry index from a key.
+    ///
+    /// Each key is `order_bits(z[i])` with its low bits replaced by `i`,
+    /// so one `sort_unstable` of plain `u64`s orders the entries by value
+    /// and breaks ties by index. Distinct values that agree in all but
+    /// those low bits (rounding siblings of one another, common in real
+    /// columns) come out in index order; a final pass finds each such
+    /// inversion with one comparison per entry and moves the entry back
+    /// by insertion on the full `(order_bits, index)` key. The pass is
+    /// linear unless many distinct values agree to within a relative
+    /// 2^-40 or so.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "potentials must not be NaN" if a kept entry is NaN
+    /// and at least two entries are kept — exactly when the comparison
+    /// sort would have compared the NaN.
+    fn sort_kept(&mut self, keep: impl Fn(usize) -> bool) -> u64 {
+        let index_bits = usize::BITS - self.z.len().saturating_sub(1).leading_zeros();
+        let mask = (1u64 << index_bits) - 1;
+        self.bits.clear();
+        self.keys.clear();
+        let mut nan = false;
+        for (i, &v) in self.z.iter().enumerate() {
+            let bits = order_bits(v);
+            self.bits.push(bits);
+            if keep(i) {
+                nan |= v.is_nan();
+                self.keys.push(bits & !mask | i as u64);
+            }
+        }
+        assert!(!nan || self.keys.len() < 2, "potentials must not be NaN");
+        self.keys.sort_unstable();
+        let bits = &self.bits;
+        let full = |key: u64| (bits[(key & mask) as usize], key & mask);
+        let keys = &mut self.keys;
+        let Some(&first) = keys.first() else {
+            return mask;
+        };
+        // `prev`: the largest value bits of the fixed prefix. Equal bits
+        // mean equal values, already in index order.
+        let mut prev = full(first).0;
+        for i in 1..keys.len() {
+            let key = keys[i];
+            let (value, index) = full(key);
+            if prev <= value {
+                prev = value;
+                continue;
+            }
+            let mut j = i;
+            while j > 0 && full(keys[j - 1]) > (value, index) {
+                keys[j] = keys[j - 1];
+                j -= 1;
+            }
+            keys[j] = key;
+        }
+        mask
+    }
+
+    /// [`SortedColumn`]'s `pair_sum() − abs_sum_around(z[me])` for the
+    /// current `z`, with the same arithmetic in the same order.
+    fn sorted_flow(&mut self, me: usize) -> f64 {
+        let mask = self.sort_kept(|_| true);
+        let z = &self.z;
+        self.values.clear();
+        self.prefix.clear();
+        self.prefix.push(0.0);
+        let mut sum = 0.0;
+        for &key in &self.keys {
+            let v = z[(key & mask) as usize];
+            sum += v;
+            self.values.push(v);
+            self.prefix.push(sum);
+        }
+        let sorted = &self.values;
+        let prefix = &self.prefix;
+        let n = sorted.len() as f64;
+        let pair_sum: f64 = sorted
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| (2.0 * k as f64 - n + 1.0) * v)
+            .sum();
+        let c = z[me];
+        let k = sorted.partition_point(|&v| v <= c);
+        let below = c * k as f64 - prefix[k];
+        let total = *prefix.last().unwrap();
+        let above = (total - prefix[k]) - c * (sorted.len() - k) as f64;
+        pair_sum - (below + above)
+    }
+
+    /// [`WeightedColumn`]'s `pair_sum() − abs_sum_around(z[me_bucket])`
+    /// for the current `z` and `weights`, with the same arithmetic in
+    /// the same order; zero-weight entries are skipped as there.
+    fn weighted_flow(&mut self, me_bucket: usize, weights: &[f64]) -> f64 {
+        let mask = self.sort_kept(|b| weights[b] > 0.0);
+        let z = &self.z;
+        self.pairs.clear();
+        self.prefix.clear();
+        self.prefix_wv.clear();
+        self.prefix.push(0.0);
+        self.prefix_wv.push(0.0);
+        let (mut sum_w, mut sum_wv) = (0.0, 0.0);
+        for &key in &self.keys {
+            let b = (key & mask) as usize;
+            let (v, w) = (z[b], weights[b]);
+            sum_w += w;
+            sum_wv += w * v;
+            self.pairs.push((v, w));
+            self.prefix.push(sum_w);
+            self.prefix_wv.push(sum_wv);
+        }
+        let sorted = &self.pairs;
+        let prefix_w = &self.prefix;
+        let prefix_wv = &self.prefix_wv;
+        let total_w = *prefix_w.last().unwrap();
+        let pair_sum: f64 = sorted
+            .iter()
+            .enumerate()
+            .map(|(k, &(v, w))| v * w * (2.0 * prefix_w[k] + w - total_w))
+            .sum();
+        let c = z[me_bucket];
+        let k = sorted.partition_point(|&(v, _)| v <= c);
+        let below = c * prefix_w[k] - prefix_wv[k];
+        let total_wv = *prefix_wv.last().unwrap();
+        let above = (total_wv - prefix_wv[k]) - c * (total_w - prefix_w[k]);
+        pair_sum - (below + above)
+    }
+}
+
 /// [`node_net_flow_sorted`] over columns stored row-major: neighbor
 /// `slot`'s column lives at `flat[s * deg + slot]` for `s = 0..n`. Same
 /// arithmetic in the same order — results are bit-identical; only the
-/// storage walk differs.
+/// storage walk and the sort keys differ (see [`CombineScratch`]).
 pub(crate) fn node_net_flow_sorted_strided(
+    me: usize,
+    own: &[f64],
+    flat: &[f64],
+    deg: usize,
+) -> f64 {
+    debug_assert_eq!(flat.len(), own.len() * deg);
+    let mut scratch = CombineScratch::default();
+    let mut acc = 0.0;
+    for slot in 0..deg {
+        scratch.z.clear();
+        scratch.z.extend(
+            own.iter()
+                .enumerate()
+                .map(|(s, o)| o - flat[s * deg + slot]),
+        );
+        acc += scratch.sorted_flow(me);
+    }
+    acc / 2.0
+}
+
+/// The per-slot allocating form of [`node_net_flow_sorted_strided`],
+/// kept as the reference it must match bit for bit.
+#[cfg(test)]
+pub(crate) fn node_net_flow_sorted_strided_reference(
     me: usize,
     own: &[f64],
     flat: &[f64],
@@ -121,6 +325,10 @@ pub(crate) fn node_net_flow_sorted_strided(
 /// bucket of `c_b` sources collapses to one entry of weight `c_b`, and
 /// the pair sum over the expanded multiset is recovered exactly from the
 /// weighted prefix sums, in `O(B log B)` instead of `O(n log n)`.
+///
+/// The sketch combine computes the same sums in [`CombineScratch`]; this
+/// allocating form is kept as its reference.
+#[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct WeightedColumn {
     /// `(value, weight)` sorted by value; zero-weight entries dropped.
@@ -131,6 +339,7 @@ pub(crate) struct WeightedColumn {
     prefix_wv: Vec<f64>,
 }
 
+#[cfg(test)]
 impl WeightedColumn {
     pub(crate) fn new(z: &[f64], weights: &[f64]) -> WeightedColumn {
         debug_assert_eq!(z.len(), weights.len());
@@ -181,11 +390,49 @@ impl WeightedColumn {
 }
 
 /// Sketch-mode analogue of [`node_net_flow_sorted_strided`]: columns are
-/// bucket averages (`B` entries, row-major `flat[b * deg + slot]`) and
-/// each bucket carries its preimage weight. `me_bucket` is the bucket
-/// node `me` hashes into; its average stands in for `z_me` in the
+/// bucket averages (`B` entries) and each bucket carries its preimage
+/// weight. The columns arrive as the fixed-point bucket sums node `me`
+/// holds — its own in `own`, neighbor `slot`'s at `cols[b * deg + slot]`
+/// — and `avg(sum, weights[b])` turns one into bucket `b`'s average; they
+/// are read in place, with no floating-point copy. `me_bucket` is the
+/// bucket node `me` hashes into; its average stands in for `z_me` in the
 /// excluded-pair correction.
 pub(crate) fn node_net_flow_weighted_strided(
+    me_bucket: usize,
+    own: &[u64],
+    cols: &[u64],
+    weights: &[f64],
+    avg: impl Fn(u64, f64) -> f64,
+) -> f64 {
+    debug_assert_eq!(weights.len(), own.len());
+    debug_assert_eq!(cols.len() % own.len().max(1), 0);
+    let deg = cols.len() / own.len().max(1);
+    let mut scratch = CombineScratch::default();
+    scratch
+        .own
+        .extend(own.iter().zip(weights).map(|(&s, &w)| avg(s, w)));
+    let mut acc = 0.0;
+    for slot in 0..deg {
+        scratch.z.clear();
+        scratch.z.extend(
+            scratch
+                .own
+                .iter()
+                .zip(weights)
+                .enumerate()
+                .map(|(b, (o, &w))| o - avg(cols[b * deg + slot], w)),
+        );
+        acc += scratch.weighted_flow(me_bucket, weights);
+    }
+    acc / 2.0
+}
+
+/// The per-slot allocating form of [`node_net_flow_weighted_strided`],
+/// over the floating-point copies it used to take (`own[b]`, and
+/// `flat[b * deg + slot]`), kept as the reference it must match bit for
+/// bit.
+#[cfg(test)]
+pub(crate) fn node_net_flow_weighted_strided_reference(
     me_bucket: usize,
     own: &[f64],
     flat: &[f64],
@@ -256,6 +503,7 @@ pub(crate) fn combine_potentials(graph: &Graph, x: &[Vec<f64>], method: PairSumM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rwbc_graph::generators::{complete, cycle};
@@ -348,6 +596,166 @@ mod tests {
         let dense = WeightedColumn::new(&[3.0, 2.0], &[2.0, 1.0]);
         assert!((col.pair_sum() - dense.pair_sum()).abs() < 1e-12);
         assert!((col.abs_sum_around(1.0) - dense.abs_sum_around(1.0)).abs() < 1e-12);
+    }
+
+    /// A value pool with what stresses an exact-order sort: exact ties,
+    /// both zeros, and rounding siblings — distinct values that agree in
+    /// all but their last few bits, so they share a truncated sort key.
+    fn tie_heavy_pool(rng: &mut StdRng) -> Vec<f64> {
+        let mut pool = vec![0.0, -0.0];
+        for _ in 0..6 {
+            let v: f64 = rng.gen_range(-4.0..4.0);
+            pool.push(v);
+            pool.push(f64::from_bits(v.to_bits() + rng.gen_range(1u64..600)));
+            pool.push(f64::from(rng.gen_range(-8i32..8)) / 8.0);
+        }
+        pool
+    }
+
+    /// `len` draws from the pool, as pool indices.
+    fn draws(rng: &mut StdRng, pool: &[f64], len: usize) -> Vec<u64> {
+        (0..len)
+            .map(|_| rng.gen_range(0..pool.len() as u64))
+            .collect()
+    }
+
+    fn look_up(pool: &[f64], picks: &[u64]) -> Vec<f64> {
+        picks.iter().map(|&i| pool[i as usize]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        #[test]
+        fn weighted_kernel_matches_its_reference_bit_for_bit(
+            seed in any::<u64>(),
+            buckets in 1usize..300,
+            deg in 1usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = tie_heavy_pool(&mut rng);
+            // A fifth of the weights zero, the rest fractional (the
+            // sketch's are integers): with fractional weights the prefix
+            // sums show any reordering, even among equal values.
+            let weights: Vec<f64> = (0..buckets)
+                .map(|_| if rng.gen_range(0..5) == 0 { 0.0 } else { rng.gen_range(0.1..20.0) })
+                .collect();
+            let own = draws(&mut rng, &pool, buckets);
+            let cols = draws(&mut rng, &pool, buckets * deg);
+            let me_bucket = rng.gen_range(0..buckets);
+            // The kernel reads pool indices through `avg`; the reference
+            // gets the looked-up values.
+            let got = node_net_flow_weighted_strided(me_bucket, &own, &cols, &weights, |x, _| {
+                pool[x as usize]
+            });
+            let want = node_net_flow_weighted_strided_reference(
+                me_bucket,
+                &look_up(&pool, &own),
+                &look_up(&pool, &cols),
+                deg,
+                &weights,
+            );
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+
+        #[test]
+        fn weighted_kernel_matches_its_reference_on_sketch_averages(
+            seed in any::<u64>(),
+            precision in 1u8..9,
+            deg in 1usize..6,
+        ) {
+            // The sketch combine's own inputs: fixed-point bucket sums,
+            // many of them zero, averaged as `finish_if_done` does.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let buckets = 1usize << precision;
+            let weights: Vec<f64> = (0..buckets)
+                .map(|_| f64::from(rng.gen_range(0u32..6)))
+                .collect();
+            let mut sum = || if rng.gen_range(0..3) == 0 { 0 } else { rng.gen_range(0u64..400) };
+            let own: Vec<u64> = (0..buckets).map(|_| sum()).collect();
+            let cols: Vec<u64> = (0..buckets * deg).map(|_| sum()).collect();
+            let avg = |scaled: u64, w: f64| {
+                if w > 0.0 {
+                    scaled as f64 * (1.0 / 4096.0) / 8.0 / w
+                } else {
+                    0.0
+                }
+            };
+            let me_bucket = rng.gen_range(0..buckets);
+            let got = node_net_flow_weighted_strided(me_bucket, &own, &cols, &weights, avg);
+            let own_f: Vec<f64> = own.iter().zip(&weights).map(|(&s, &w)| avg(s, w)).collect();
+            let flat: Vec<f64> = (0..buckets * deg)
+                .map(|i| avg(cols[i], weights[i / deg]))
+                .collect();
+            let want = node_net_flow_weighted_strided_reference(me_bucket, &own_f, &flat, deg, &weights);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+
+        #[test]
+        fn sorted_kernel_matches_its_reference_bit_for_bit(
+            seed in any::<u64>(),
+            n in 1usize..600,
+            deg in 1usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = tie_heavy_pool(&mut rng);
+            let own = look_up(&pool, &draws(&mut rng, &pool, n));
+            let flat = look_up(&pool, &draws(&mut rng, &pool, n * deg));
+            let me = rng.gen_range(0..n);
+            let got = node_net_flow_sorted_strided(me, &own, &flat, deg);
+            let want = node_net_flow_sorted_strided_reference(me, &own, &flat, deg);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn order_bits_orders_like_partial_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -f64::MIN_POSITIVE,
+            -1e-310,
+            -0.0,
+            0.0,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::from_bits(1.0f64.to_bits() + 1),
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    order_bits(a).cmp(&order_bits(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "potentials must not be NaN")]
+    fn weighted_kernel_rejects_nan() {
+        let pool = [0.5, f64::NAN, -1.0];
+        node_net_flow_weighted_strided(0, &[0, 1, 2], &[2, 0, 1], &[1.0; 3], |x, _| {
+            pool[x as usize]
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "potentials must not be NaN")]
+    fn sorted_kernel_rejects_nan() {
+        node_net_flow_sorted_strided(0, &[0.5, f64::NAN, -1.0], &[1.0, 0.0, 2.0], 1);
+    }
+
+    #[test]
+    fn a_lone_nan_is_never_compared() {
+        // One kept entry: a comparison sort compares nothing, so neither
+        // the reference nor the kernel panics.
+        let got = node_net_flow_weighted_strided(0, &[0, 0], &[0, 0], &[1.0, 0.0], |_, _| f64::NAN);
+        let want =
+            node_net_flow_weighted_strided_reference(0, &[f64::NAN; 2], &[0.0; 2], 1, &[1.0, 0.0]);
+        assert!(got.is_nan() && want.is_nan());
     }
 
     #[test]

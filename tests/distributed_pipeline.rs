@@ -94,6 +94,56 @@ fn batched_discipline_reduces_walk_rounds() {
 }
 
 #[test]
+fn batched_discipline_sizes_batches_from_the_run_budget() {
+    // n = 25 and l = 25: a token is 5 id + 5 length bits, a batch adds a
+    // 4-bit count, and the budget is c · 5 bits. So coefficient 4 fits one
+    // token, 8 three, 16 seven, and 64 would fit 31 but the 4-bit count
+    // caps a batch at 15. Coefficient 8 is the default.
+    let g = grid_2d(5, 5).unwrap();
+    let run_at = |coeff: usize| {
+        let mut cfg = DistributedConfig::builder()
+            .walks(32)
+            .length(25)
+            .seed(4)
+            .discipline(CongestionDiscipline::Batched)
+            .build()
+            .unwrap();
+        cfg.sim = cfg.sim.clone().with_bandwidth_coeff(coeff);
+        approximate(&g, &cfg).unwrap_or_else(|e| panic!("coefficient {coeff}: {e}"))
+    };
+    let default = run_at(8);
+    let walk = &default.walk_stats;
+    assert_eq!(
+        (walk.rounds, walk.total_messages, walk.total_bits),
+        (81, 5165, 152_420),
+        "the default-coefficient fingerprint"
+    );
+    let mut rounds = vec![walk.rounds];
+    for (coeff, widest) in [(4, 1), (16, 7), (64, 15)] {
+        let run = run_at(coeff);
+        let stats = &run.walk_stats;
+        assert!(stats.congest_compliant(), "coefficient {coeff}");
+        // Token forwarding is contended at every size, so some batch
+        // fills to the limit.
+        assert_eq!(
+            stats.max_bits_edge_round,
+            4 + widest * 10,
+            "coefficient {coeff}"
+        );
+        if coeff > 8 {
+            // Schedule invariance: wider batches change the timing, not
+            // the visit counts.
+            assert_eq!(run.centrality, default.centrality, "coefficient {coeff}");
+            rounds.push(stats.rounds);
+        }
+    }
+    assert!(
+        rounds.windows(2).all(|w| w[1] < w[0]),
+        "walk rounds {rounds:?}"
+    );
+}
+
+#[test]
 fn theory_parameters_give_usable_accuracy() {
     let mut rng = StdRng::seed_from_u64(5);
     let g = connected_gnp(20, 0.35, 100, &mut rng).unwrap();

@@ -3,7 +3,7 @@
 //! centrality, and a digest of the full run record (per-phase stats,
 //! degradation report, target, fixed-point width).
 //!
-//! The first five cases are the committed `BENCH_*-t1.json` scenarios;
+//! The first six cases are the committed `BENCH_*-t1.json` scenarios;
 //! their fingerprints match the artifacts. The rest cover modes no
 //! artifact does: walk relaunch under drops, the elected target, sketch
 //! counting behind the reliable layer, and partition-tolerant runs (a
@@ -101,6 +101,21 @@ fn sketch_er_n1024_matches_its_artifact() {
             69_343_355,
             0x8481_79dd_dc0e_7c9d,
             0x2938_3deb_922b_3593,
+        ),
+    );
+}
+
+#[test]
+fn sketch_er_n4096_matches_its_artifact() {
+    check_scenario(
+        Mode::Sketch,
+        4096,
+        (
+            344,
+            8_927_441,
+            378_797_535,
+            0x5f4f_a23f_3f75_ec48,
+            0x1e4b_50e2_9597_98df,
         ),
     );
 }
